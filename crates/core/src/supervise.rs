@@ -87,21 +87,24 @@ impl Supervisor {
         sched: &mut Scheduler,
         predicates: &[Predicate],
     ) -> SupStop {
+        // Built once per call: nothing but the budget changes while
+        // predicate watch hits are serviced below.
+        let mut watches = self.race_watches.clone();
+        for p in predicates {
+            watches.extend_from_slice(&p.watches);
+        }
+        let mut cfg = DriveCfg {
+            max_steps: self.budget,
+            watches,
+            preempt_watches: self.preempt_watches.clone(),
+            suspended: self.suspended.clone(),
+            record_schedule: true,
+        };
         loop {
             if self.budget == 0 {
                 return SupStop::Timeout;
             }
-            let mut watches = self.race_watches.clone();
-            for p in predicates {
-                watches.extend_from_slice(&p.watches);
-            }
-            let cfg = DriveCfg {
-                max_steps: self.budget,
-                watches,
-                preempt_watches: self.preempt_watches.clone(),
-                suspended: self.suspended.clone(),
-                record_schedule: true,
-            };
+            cfg.max_steps = self.budget;
             let before = m.steps;
             let before_preempt = m.preemptions;
             let stop = drive(m, sched, &mut NullMonitor, &cfg);

@@ -31,7 +31,7 @@ pub mod protocol;
 mod server;
 
 pub use protocol::{Frame, Request};
-pub use server::{Server, ServerConfig};
+pub use server::{Server, ServerConfig, MAX_REQUEST_LINE};
 
 #[cfg(test)]
 mod tests {

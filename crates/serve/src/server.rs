@@ -185,21 +185,39 @@ impl Server {
     /// Serves line-delimited requests from `input` to `output` until
     /// EOF or shutdown. [`Server::serve_stdio`] is this over the
     /// process's stdio; tests drive it with in-memory buffers.
+    ///
+    /// A request line longer than [`MAX_REQUEST_LINE`] bytes is never
+    /// buffered whole: it is answered with an error frame, the rest of
+    /// it is skipped, and the session goes on with the next line.
     pub fn serve_io(&self, input: &mut dyn BufRead, output: &mut dyn Write) -> std::io::Result<()> {
-        let mut line = String::new();
+        let mut line = Vec::new();
         loop {
-            line.clear();
-            if input.read_line(&mut line)? == 0 {
-                return Ok(()); // EOF
-            }
+            let read = read_bounded_line(input, &mut line, MAX_REQUEST_LINE)?;
             let mut io_err = None;
-            let keep_going = self.handle_line(&line, &mut |frame| {
+            let mut emit = |frame: Frame| {
                 if io_err.is_none() {
                     io_err = writeln!(output, "{}", frame.render())
                         .and_then(|()| output.flush())
                         .err();
                 }
-            });
+            };
+            let keep_going = match read {
+                LineRead::Eof => return Ok(()),
+                LineRead::TooLong => {
+                    emit(Frame::Error {
+                        request: 0,
+                        message: format!(
+                            "request line longer than {MAX_REQUEST_LINE} bytes; skipped"
+                        ),
+                    });
+                    true
+                }
+                LineRead::Line => {
+                    let text = std::str::from_utf8(&line)
+                        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+                    self.handle_line(text, &mut emit)
+                }
+            };
             if let Some(e) = io_err {
                 return Err(e);
             }
@@ -239,6 +257,62 @@ impl Server {
         }
         let _ = std::fs::remove_file(path);
         Ok(())
+    }
+}
+
+/// The longest request line [`Server::serve_io`] accepts, in bytes,
+/// not counting the newline. Requests are a few dozen bytes; the cap
+/// bounds what one client can make the daemon buffer.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
+
+/// What [`read_bounded_line`] found.
+enum LineRead {
+    /// End of input before any byte.
+    Eof,
+    /// A line of at most the cap, now in the buffer (newline included).
+    Line,
+    /// A line over the cap; it was consumed and discarded.
+    TooLong,
+}
+
+/// Reads one `\n`-terminated line (or the unterminated tail before EOF)
+/// into `buf`, storing at most `cap` bytes of it plus the newline: a
+/// longer line is consumed through its newline without being stored.
+fn read_bounded_line(
+    input: &mut dyn BufRead,
+    buf: &mut Vec<u8>,
+    cap: usize,
+) -> std::io::Result<LineRead> {
+    buf.clear();
+    // Line bytes seen so far, newline excluded.
+    let mut len = 0usize;
+    loop {
+        let chunk = match input.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            return Ok(match len {
+                0 => LineRead::Eof,
+                n if n > cap => LineRead::TooLong,
+                _ => LineRead::Line,
+            });
+        }
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let take = newline.map_or(chunk.len(), |i| i + 1);
+        len += newline.unwrap_or(chunk.len());
+        if len <= cap {
+            buf.extend_from_slice(&chunk[..take]);
+        }
+        input.consume(take);
+        if newline.is_some() {
+            return Ok(if len > cap {
+                LineRead::TooLong
+            } else {
+                LineRead::Line
+            });
+        }
     }
 }
 

@@ -201,6 +201,11 @@ fn watch_match(m: &Machine, watches: &[Watch]) -> Option<WatchHit> {
 /// is about to execute a preemption-point instruction. Watch hits return
 /// to the caller *without* consulting the scheduler, so recorded schedule
 /// traces stay aligned between runs with and without watchpoints.
+///
+/// While the current thread is runnable and not suspended, a step builds
+/// no thread list: completion, deadlock and `Stuck` are impossible then,
+/// so the runnable and alive sets are computed only at a real scheduling
+/// point, into buffers reused for the rest of the call.
 pub fn drive(
     m: &mut Machine,
     sched: &mut Scheduler,
@@ -209,33 +214,38 @@ pub fn drive(
 ) -> DriveStop {
     let mut local_steps: u64 = 0;
     let mut just_picked = false;
+    // The schedulable threads (runnable, not suspended) and the alive
+    // ones (runnable, suspended or not), refilled at each scheduling point.
+    let (mut runnable, mut alive) = (Vec::new(), Vec::new());
     loop {
-        if m.all_finished() {
-            return DriveStop::Completed;
-        }
-        let runnable = m.runnable_threads(&cfg.suspended);
-        if runnable.is_empty() {
-            let any_suspended_alive = cfg.suspended.iter().any(|t| !m.thread(*t).is_finished());
-            if any_suspended_alive {
-                return DriveStop::Stuck;
-            }
-            return DriveStop::Error(VmError::Deadlock(m.deadlock_info()));
-        }
-
-        let cur_ok = runnable.contains(&m.cur);
+        let cur_ok = m.thread(m.cur).is_runnable() && !cfg.suspended.contains(&m.cur);
         let at_preempt = cur_ok
-            && (m
-                .peek_inst()
-                .map(|i| i.is_preemption_point())
-                .unwrap_or(false)
+            && (m.peek_inst().is_some_and(|i| i.is_preemption_point())
                 || watch_match(m, &cfg.preempt_watches).is_some());
         if !cur_ok || (at_preempt && !just_picked) {
+            if !cur_ok && m.all_finished() {
+                return DriveStop::Completed;
+            }
+            runnable.clear();
+            alive.clear();
+            for t in m.threads.iter().filter(|t| t.is_runnable()) {
+                alive.push(t.id);
+                if !cfg.suspended.contains(&t.id) {
+                    runnable.push(t.id);
+                }
+            }
+            if runnable.is_empty() {
+                let any_suspended_alive = cfg.suspended.iter().any(|t| !m.thread(*t).is_finished());
+                if any_suspended_alive {
+                    return DriveStop::Stuck;
+                }
+                return DriveStop::Error(VmError::Deadlock(m.deadlock_info()));
+            }
             let reason = if cur_ok {
                 PickReason::Preemption
             } else {
                 PickReason::Blocked
             };
-            let alive = m.runnable_threads(&BTreeSet::new());
             let t = sched.pick(&runnable, &alive, m.cur, reason);
             m.preemptions += 1;
             if cfg.record_schedule {

@@ -255,8 +255,7 @@ impl Machine {
     pub fn peek_access(&self) -> Option<(AllocId, Option<i64>, bool)> {
         let inst = self.peek_inst()?;
         let (alloc, index, is_write) = inst.memory_access()?;
-        let idx = self.eval(index).as_concrete();
-        Some((alloc, idx, is_write))
+        Some((alloc, self.eval_concrete(index), is_write))
     }
 
     /// Evaluates an operand in the current thread's frame.
@@ -264,6 +263,23 @@ impl Machine {
         match op {
             Operand::Imm(v) => Val::C(v),
             Operand::Reg(r) => self.thread(self.cur).frame().regs[r as usize].clone(),
+        }
+    }
+
+    /// The concrete value of an operand, read in place: a symbolic
+    /// register is not cloned. `None` when the value is symbolic.
+    fn eval_concrete(&self, op: Operand) -> Option<i64> {
+        match op {
+            Operand::Imm(v) => Some(v),
+            Operand::Reg(r) => self.thread(self.cur).frame().regs[r as usize].as_concrete(),
+        }
+    }
+
+    /// An operand as an expression (constants become literals).
+    fn eval_expr(&self, op: Operand) -> Expr {
+        match op {
+            Operand::Imm(v) => Expr::konst(v),
+            Operand::Reg(r) => self.thread(self.cur).frame().regs[r as usize].to_expr(),
         }
     }
 
@@ -384,9 +400,11 @@ impl Machine {
             Some(pc) => pc,
             None => return StepEvent::Err(self.misuse(pc_unknown(), "stepping finished thread")),
         };
-        let program = self.program.clone();
-        let inst = match program.inst_at(pc) {
-            Some(i) => i.clone(),
+        // The instruction is read in place: no refcount on the shared
+        // program is touched and nothing is cloned. Each arm copies the
+        // `Copy` fields it needs out of the borrow before mutating `self`.
+        let inst = match self.program.inst_at(pc) {
+            Some(i) => i,
             None => return StepEvent::Err(self.misuse(pc, "pc out of range")),
         };
 
@@ -402,7 +420,7 @@ impl Machine {
             ResumePhase::None => {}
         }
 
-        match inst {
+        match *inst {
             Inst::Const { dst, value } => {
                 self.count_step();
                 self.set_reg(dst, Val::C(value));
@@ -427,8 +445,8 @@ impl Machine {
                 StepEvent::Ran
             }
             Inst::Bin { op, dst, lhs, rhs } => {
-                let (a, b) = (self.eval(lhs), self.eval(rhs));
-                let v = match (a.as_concrete(), b.as_concrete()) {
+                let (a, b) = (self.eval_concrete(lhs), self.eval_concrete(rhs));
+                let v = match (a, b) {
                     (Some(x), Some(y)) => {
                         if self.cfg.detect_overflow {
                             match op.apply_checked(x, y) {
@@ -447,7 +465,7 @@ impl Machine {
                     }
                     _ => {
                         if matches!(op, BinOp::Div | BinOp::Rem) {
-                            match b.as_concrete() {
+                            match b {
                                 Some(0) => {
                                     return StepEvent::Err(VmError::DivisionByZero { tid, pc })
                                 }
@@ -461,7 +479,7 @@ impl Machine {
                                 }
                             }
                         }
-                        Val::from(Expr::bin(op, a.to_expr(), b.to_expr()))
+                        Val::from(Expr::bin(op, self.eval_expr(lhs), self.eval_expr(rhs)))
                     }
                 };
                 self.count_step();
@@ -471,17 +489,16 @@ impl Machine {
             }
             Inst::Cmp { op, dst, lhs, rhs } => {
                 self.count_step();
-                let (a, b) = (self.eval(lhs), self.eval(rhs));
-                let v = match (a.as_concrete(), b.as_concrete()) {
+                let v = match (self.eval_concrete(lhs), self.eval_concrete(rhs)) {
                     (Some(x), Some(y)) => Val::C(op.apply(x, y)),
-                    _ => Val::from(a.to_expr().cmp(op, b.to_expr())),
+                    _ => Val::from(self.eval_expr(lhs).cmp(op, self.eval_expr(rhs))),
                 };
                 self.set_reg(dst, v);
                 self.advance();
                 StepEvent::Ran
             }
             Inst::Load { dst, base, index } => {
-                let idx = match self.eval(index).as_concrete() {
+                let idx = match self.eval_concrete(index) {
                     Some(i) => i,
                     None => {
                         return StepEvent::Err(VmError::SymbolicValue {
@@ -503,7 +520,7 @@ impl Machine {
                 }
             }
             Inst::Store { base, index, src } => {
-                let idx = match self.eval(index).as_concrete() {
+                let idx = match self.eval_concrete(index) {
                     Some(i) => i,
                     None => {
                         return StepEvent::Err(VmError::SymbolicValue {
@@ -533,26 +550,23 @@ impl Machine {
                 cond,
                 then_b,
                 else_b,
-            } => match self.eval(cond) {
-                Val::C(v) => {
+            } => match self.eval_concrete(cond) {
+                Some(v) => {
                     self.count_step();
                     self.jump_to(if v != 0 { then_b } else { else_b });
                     StepEvent::Ran
                 }
-                Val::S(e) => match e.as_const() {
-                    Some(v) => {
-                        self.count_step();
-                        self.jump_to(if v != 0 { then_b } else { else_b });
-                        StepEvent::Ran
-                    }
-                    None => StepEvent::SymBranch {
-                        cond: e,
-                        then_b,
-                        else_b,
-                    },
+                None => StepEvent::SymBranch {
+                    cond: self.eval_expr(cond),
+                    then_b,
+                    else_b,
                 },
             },
-            Inst::Call { dst, func, args } => {
+            Inst::Call {
+                dst,
+                func,
+                ref args,
+            } => {
                 if self.thread(tid).frames.len() >= self.cfg.max_call_depth {
                     return StepEvent::Err(VmError::AssertFailed {
                         tid,
@@ -560,10 +574,12 @@ impl Machine {
                         msg: "maximum call depth exceeded".into(),
                     });
                 }
-                self.count_step();
+                // Arguments are evaluated while `self` is only borrowed
+                // shared; the borrow of `args` ends here.
                 let argv: Vec<Val> = args.iter().map(|a| self.eval(*a)).collect();
+                self.count_step();
                 self.advance();
-                let frame = Frame::new(&program, func, &argv, dst);
+                let frame = Frame::new(&self.program, func, &argv, dst);
                 self.thread_mut(tid).frames.push(frame);
                 StepEvent::Ran
             }
@@ -596,7 +612,7 @@ impl Machine {
                 self.count_step();
                 let argv = self.eval(arg);
                 let child = ThreadId(self.threads.len() as u32);
-                let frame = Frame::new(&program, func, &[argv], None);
+                let frame = Frame::new(&self.program, func, &[argv], None);
                 self.threads.push(Thread::new(child, frame));
                 self.set_reg(dst, Val::C(child.0 as i64));
                 mon.on_thread(&ThreadEvent {
@@ -608,7 +624,7 @@ impl Machine {
                 StepEvent::Ran
             }
             Inst::Join { tid: target_op } => {
-                let target = match self.eval(target_op).as_concrete() {
+                let target = match self.eval_concrete(target_op) {
                     Some(v) if v >= 0 && (v as usize) < self.threads.len() => ThreadId(v as u32),
                     Some(_) => return StepEvent::Err(self.misuse(pc, "join of unknown thread")),
                     None => {
@@ -666,8 +682,7 @@ impl Machine {
                     return StepEvent::Err(self.misuse(pc, "unlocking a mutex not held"));
                 }
                 mu.owner = None;
-                let waiters = std::mem::take(&mut mu.waiters);
-                for w in waiters {
+                for w in mu.waiters.drain(..) {
                     self.threads[w.0 as usize].state = ThreadState::Runnable;
                 }
                 self.count_step();
@@ -686,8 +701,7 @@ impl Machine {
                 // Release the mutex and wake contenders.
                 let mu = &mut self.sync.mutexes[mutex.0 as usize];
                 mu.owner = None;
-                let waiters = std::mem::take(&mut mu.waiters);
-                for w in waiters {
+                for w in mu.waiters.drain(..) {
                     self.threads[w.0 as usize].state = ThreadState::Runnable;
                 }
                 mon.on_sync(&SyncEvent {
@@ -790,24 +804,20 @@ impl Machine {
                     None => StepEvent::Err(VmError::InputExhausted { tid, pc }),
                 }
             }
-            Inst::Assert { cond, msg } => match self.eval(cond) {
-                Val::C(v) => {
-                    if v != 0 {
-                        self.count_step();
-                        self.advance();
-                        StepEvent::Ran
-                    } else {
-                        StepEvent::Err(VmError::AssertFailed { tid, pc, msg })
-                    }
+            Inst::Assert { cond, ref msg } => match self.eval_concrete(cond) {
+                Some(0) => StepEvent::Err(VmError::AssertFailed {
+                    tid,
+                    pc,
+                    msg: msg.clone(),
+                }),
+                Some(_) => {
+                    self.count_step();
+                    self.advance();
+                    StepEvent::Ran
                 }
-                Val::S(e) => match e.as_const() {
-                    Some(0) => StepEvent::Err(VmError::AssertFailed { tid, pc, msg }),
-                    Some(_) => {
-                        self.count_step();
-                        self.advance();
-                        StepEvent::Ran
-                    }
-                    None => StepEvent::SymAssert { cond: e, msg },
+                None => StepEvent::SymAssert {
+                    cond: self.eval_expr(cond),
+                    msg: msg.clone(),
                 },
             },
             Inst::Yield | Inst::Nop => {

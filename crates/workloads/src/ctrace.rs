@@ -187,8 +187,7 @@ pub fn ctrace() -> Workload {
     }];
     for i in 0..4 {
         ground_truth.push(kw_differ_truth(
-            // leak into String
-            Box::leak(format!("dbg_cell{i}").into_boxed_str()),
+            &format!("dbg_cell{i}"),
             "debug bookkeeping, never read",
         ));
     }
@@ -199,14 +198,14 @@ pub fn ctrace() -> Workload {
     ));
     for i in 0..5 {
         ground_truth.push(outdiff_truth(
-            Box::leak(format!("log_cnt{i}").into_boxed_str()),
+            &format!("log_cnt{i}"),
             Needs::MultiPath,
             "printed only under --debug (recorded run is quiet)",
         ));
     }
     for i in 0..2 {
         ground_truth.push(outdiff_truth(
-            Box::leak(format!("fmt_buf{i}").into_boxed_str()),
+            &format!("fmt_buf{i}"),
             Needs::MultiSchedule,
             "double-read print: only a randomized post-race schedule \
              exposes the stale value",

@@ -37,21 +37,27 @@ pub use pbzip2::pbzip2;
 pub use spec::{ClassCounts, GroundTruth, Needs, ScoreCard, Workload};
 pub use sqlite::sqlite;
 
+/// Builds one workload.
+type Build = fn() -> Workload;
+
+/// The 11 experimental targets of Table 1 by name, in the paper's order.
+const TARGETS: [(&str, Build); 11] = [
+    ("SQLite", sqlite),
+    ("ocean", ocean),
+    ("fmm", fmm),
+    ("memcached", memcached),
+    ("pbzip2", pbzip2),
+    ("ctrace", ctrace),
+    ("bbuf", bbuf),
+    ("AVV", avv),
+    ("DCL", dcl),
+    ("DBM", dbm),
+    ("RW", rw),
+];
+
 /// The 11 experimental targets of Table 1, in the paper's order.
 pub fn all() -> Vec<Workload> {
-    vec![
-        sqlite(),
-        ocean(),
-        fmm(),
-        memcached(),
-        pbzip2(),
-        ctrace(),
-        bbuf(),
-        avv(),
-        dcl(),
-        dbm(),
-        rw(),
-    ]
+    TARGETS.iter().map(|(_, build)| build()).collect()
 }
 
 /// The 7 real-world application models (Table 2/3's upper block).
@@ -59,10 +65,32 @@ pub fn applications() -> Vec<Workload> {
     all().into_iter().take(7).collect()
 }
 
-/// Looks a workload up by name (including `"memcached-weakened"`).
+/// Looks a workload up by name (including `"memcached-weakened"`),
+/// building only that workload.
 pub fn by_name(name: &str) -> Option<Workload> {
     if name == "memcached-weakened" {
         return Some(memcached_weakened());
     }
-    all().into_iter().find(|w| w.name == name)
+    TARGETS
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, build)| build())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lookup_names_match_the_built_workloads() {
+        for (name, build) in TARGETS {
+            assert_eq!(build().name, name);
+            assert_eq!(by_name(name).map(|w| w.name), Some(name));
+        }
+        assert_eq!(
+            by_name("memcached-weakened").map(|w| w.name),
+            Some("memcached-weakened")
+        );
+        assert!(by_name("no-such-program").is_none());
+    }
 }

@@ -1,12 +1,14 @@
 //! Randomized property tests on the reproduction's core invariants:
 //! solver soundness, solver-cache transparency, expression-simplification
-//! equivalence, vector-clock laws, and VM replay determinism.
+//! equivalence, vector-clock laws, VM replay determinism, and the
+//! executor's scheduling loop against a reference implementation.
 //!
 //! Driven by the workspace's own deterministic PRNG
 //! ([`portend_repro::portend_vm::SmallRng`]) instead of an external
 //! property-testing crate: every case derives from a fixed seed, so
 //! failures reproduce exactly and the suite needs no network access.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use portend_repro::portend_farm::SliceHelpers;
@@ -16,9 +18,11 @@ use portend_repro::portend_symex::{
     SolverConfig, VarId, VarTable,
 };
 use portend_repro::portend_vm::{
-    drive, DriveCfg, InputMode, InputSource, InputSpec, Machine, Operand, ProgramBuilder,
-    Scheduler, SmallRng, ThreadId, VmConfig,
+    drive, AllocId, DriveCfg, DriveStop, InputMode, InputSource, InputSpec, Machine, Monitor,
+    Operand, PickReason, Program, ProgramBuilder, RecordingMonitor, Scheduler, SmallRng, StepEvent,
+    SymDomain, ThreadId, VmConfig, VmError, Watch, WatchHit,
 };
+use portend_repro::portend_workloads::conformance::random_program;
 
 // ---------------------------------------------------------------------
 // Expression language: random expression trees over two bounded vars.
@@ -469,5 +473,320 @@ fn racy_counter_respects_lost_update_envelope() {
         let _ = drive(&mut m, &mut s, &mut mon, &DriveCfg::default());
         let total = m.output.concrete_values().unwrap()[0];
         assert!(total >= n && total <= 2 * n, "total {total} for n {n}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// Drive equivalence: the executor against a reference scheduling loop.
+// ---------------------------------------------------------------------
+
+/// The scheduling loop `drive` is specified by, written naively from the
+/// public API: every iteration checks completion, lists the runnable
+/// threads and asks whether the current one is among them. `drive`
+/// skips that work while the current thread can keep running; it must
+/// still stop, step and consult the scheduler exactly as this does.
+fn reference_drive(
+    m: &mut Machine,
+    sched: &mut Scheduler,
+    mon: &mut dyn Monitor,
+    cfg: &DriveCfg,
+) -> DriveStop {
+    let mut local_steps: u64 = 0;
+    let mut just_picked = false;
+    loop {
+        if m.all_finished() {
+            return DriveStop::Completed;
+        }
+        let runnable = m.runnable_threads(&cfg.suspended);
+        if runnable.is_empty() {
+            if cfg.suspended.iter().any(|t| !m.thread(*t).is_finished()) {
+                return DriveStop::Stuck;
+            }
+            return DriveStop::Error(VmError::Deadlock(m.deadlock_info()));
+        }
+        let cur_ok = runnable.contains(&m.cur);
+        let at_preempt = cur_ok
+            && (m.peek_inst().is_some_and(|i| i.is_preemption_point())
+                || reference_watch_match(m, &cfg.preempt_watches).is_some());
+        if !cur_ok || (at_preempt && !just_picked) {
+            let reason = if cur_ok {
+                PickReason::Preemption
+            } else {
+                PickReason::Blocked
+            };
+            let alive = m.runnable_threads(&BTreeSet::new());
+            let t = sched.pick(&runnable, &alive, m.cur, reason);
+            m.preemptions += 1;
+            if cfg.record_schedule {
+                m.sched_log.push(t);
+            }
+            m.cur = t;
+            just_picked = true;
+            continue;
+        }
+        if let Some(hit) = reference_watch_match(m, &cfg.watches) {
+            return DriveStop::WatchHit(hit);
+        }
+        if local_steps >= cfg.max_steps {
+            return DriveStop::StepLimit;
+        }
+        local_steps += 1;
+        just_picked = false;
+        match m.step(mon) {
+            StepEvent::Ran | StepEvent::Blocked | StepEvent::Exited => {}
+            StepEvent::SymBranch {
+                cond,
+                then_b,
+                else_b,
+            } => {
+                return DriveStop::SymBranch {
+                    cond,
+                    then_b,
+                    else_b,
+                }
+            }
+            StepEvent::SymAssert { cond, msg } => return DriveStop::SymAssert { cond, msg },
+            StepEvent::Err(e) => return DriveStop::Error(e),
+        }
+    }
+}
+
+/// The first watch the current thread's pending access matches.
+fn reference_watch_match(m: &Machine, watches: &[Watch]) -> Option<WatchHit> {
+    let (alloc, offset, is_write) = m.peek_access()?;
+    let offset = offset?;
+    let tid = m.cur;
+    watches
+        .iter()
+        .any(|w| {
+            w.alloc == alloc
+                && w.offset.is_none_or(|o| o == offset)
+                && w.tid.is_none_or(|t| t == tid)
+                && (is_write || !w.writes_only)
+        })
+        .then(|| WatchHit {
+            tid,
+            pc: m.thread(tid).pc().expect("runnable thread has a pc"),
+            alloc,
+            offset,
+            is_write,
+        })
+}
+
+type DriveFn = fn(&mut Machine, &mut Scheduler, &mut dyn Monitor, &DriveCfg) -> DriveStop;
+
+/// Everything one supervised session observably produced.
+#[derive(Debug, PartialEq)]
+struct Session {
+    stops: Vec<DriveStop>,
+    steps: u64,
+    preemptions: u64,
+    sched_log: Vec<ThreadId>,
+    output: u64,
+    memory: u64,
+    accesses: usize,
+    syncs: usize,
+}
+
+/// Drives `m` the way the classifier's supervisor does: a watch hit is
+/// stepped over, a symbolic fork takes its true side, a step limit
+/// resumes with a fresh budget; anything else ends the session.
+fn drive_session(
+    drive_fn: DriveFn,
+    mut m: Machine,
+    mut sched: Scheduler,
+    cfg: &DriveCfg,
+) -> Session {
+    let mut mon = RecordingMonitor::default();
+    let mut stops = Vec::new();
+    for _ in 0..64 {
+        let stop = drive_fn(&mut m, &mut sched, &mut mon, cfg);
+        stops.push(stop.clone());
+        match stop {
+            DriveStop::WatchHit(_) => {
+                let _ = m.step(&mut mon);
+            }
+            DriveStop::SymBranch { cond, then_b, .. } => m.apply_branch(then_b, cond.truthy()),
+            DriveStop::SymAssert { cond, msg } => {
+                if m.apply_assert(true, cond, &msg).is_some() {
+                    break;
+                }
+            }
+            DriveStop::StepLimit => {}
+            DriveStop::Completed | DriveStop::Error(_) | DriveStop::Stuck => break,
+        }
+    }
+    Session {
+        stops,
+        steps: m.steps,
+        preemptions: m.preemptions,
+        sched_log: m.sched_log.to_vec(),
+        output: m.output.hash_chain(),
+        memory: m.mem.fingerprint(),
+        accesses: mon.accesses.len(),
+        syncs: mon.syncs.len(),
+    }
+}
+
+/// Two threads racing on a counter; main joins both and prints it.
+fn racy_counter_program() -> Arc<Program> {
+    let mut pb = ProgramBuilder::new("racy", "racy.c");
+    let g = pb.global("counter", 0);
+    let worker = pb.func("worker", |f| {
+        let _ = f.param();
+        f.racy_inc(g, Operand::Imm(0));
+        f.ret(None);
+    });
+    let main = pb.func("main", |f| {
+        let t1 = f.spawn(worker, Operand::Imm(0));
+        let t2 = f.spawn(worker, Operand::Imm(1));
+        f.join(t1);
+        f.join(t2);
+        let v = f.load(g, Operand::Imm(0));
+        f.output(1, v);
+        f.ret(None);
+    });
+    Arc::new(pb.build(main).unwrap())
+}
+
+/// Lock-order inversion: deadlocks under interleaving schedules.
+fn deadlock_program() -> Arc<Program> {
+    let mut pb = ProgramBuilder::new("dl", "dl.c");
+    let g = pb.global("g", 0);
+    let a = pb.mutex("A");
+    let b = pb.mutex("B");
+    let worker = pb.func("worker", move |f| {
+        let _ = f.param();
+        f.lock(b);
+        f.yield_();
+        f.lock(a);
+        f.racy_inc(g, Operand::Imm(0));
+        f.unlock(a);
+        f.unlock(b);
+        f.ret(None);
+    });
+    let main = pb.func("main", move |f| {
+        let t = f.spawn(worker, Operand::Imm(0));
+        f.lock(a);
+        f.yield_();
+        f.lock(b);
+        f.racy_inc(g, Operand::Imm(0));
+        f.unlock(b);
+        f.unlock(a);
+        f.join(t);
+        f.ret(None);
+    });
+    Arc::new(pb.build(main).unwrap())
+}
+
+/// A worker branches and asserts on a symbolic input while main races
+/// with it on a global: exercises the symbolic-fork stops.
+fn symbolic_program() -> Arc<Program> {
+    let mut pb = ProgramBuilder::new("sym", "sym.c");
+    let g = pb.global("g", 0);
+    let worker = pb.func("worker", move |f| {
+        let x = f.param();
+        let big = f.cmp(CmpOp::Gt, x, Operand::Imm(3));
+        f.if_else(
+            big,
+            |f| {
+                f.store(g, Operand::Imm(0), Operand::Imm(1));
+            },
+            |f| {
+                f.racy_inc(g, Operand::Imm(0));
+            },
+        );
+        let ok = f.cmp(CmpOp::Ne, x, Operand::Imm(100));
+        f.assert_true(ok, "x is not 100");
+        f.ret(None);
+    });
+    let main = pb.func("main", move |f| {
+        let x = f.input();
+        let t = f.spawn(worker, x);
+        f.racy_inc(g, Operand::Imm(0));
+        f.join(t);
+        let v = f.load(g, Operand::Imm(0));
+        f.output(1, v);
+        f.ret(None);
+    });
+    Arc::new(pb.build(main).unwrap())
+}
+
+/// `drive` matches the reference scheduling loop stop for stop: same
+/// `DriveStop`s, step counts, scheduler consultations and recorded
+/// schedule, over random programs, the racy counter, a deadlocking and
+/// a symbolic program, under seeded random and round-robin schedulers,
+/// with watches, preemption watches, suspensions and tight budgets.
+#[test]
+fn drive_matches_reference_scheduling_loop() {
+    let mut programs: Vec<(Arc<Program>, InputSource)> = Vec::new();
+    let mut r = SmallRng::seed_from_u64(0xD21E);
+    for _ in 0..12 {
+        let (program, _) = random_program(r.next_u64());
+        programs.push((
+            program,
+            InputSource::new(InputSpec::concrete(vec![]), InputMode::Concrete),
+        ));
+    }
+    let concrete = || InputSource::new(InputSpec::concrete(vec![]), InputMode::Concrete);
+    programs.push((racy_counter_program(), concrete()));
+    programs.push((deadlock_program(), concrete()));
+    programs.push((
+        symbolic_program(),
+        InputSource::new(
+            InputSpec::concrete(vec![5]).with_symbolic(SymDomain::new("x", 0, 200)),
+            InputMode::Symbolic,
+        ),
+    ));
+
+    let g = AllocId(0);
+    let cfgs = [
+        DriveCfg::default(),
+        DriveCfg::with_budget(7),
+        DriveCfg {
+            watches: vec![Watch::cell(g, 0)],
+            ..Default::default()
+        },
+        DriveCfg {
+            watches: vec![Watch::alloc(g).by(ThreadId(1))],
+            preempt_watches: vec![Watch::alloc(g)],
+            ..Default::default()
+        },
+        DriveCfg {
+            preempt_watches: vec![Watch::cell(g, 0)],
+            max_steps: 11,
+            ..Default::default()
+        },
+        DriveCfg {
+            suspended: [ThreadId(1)].into_iter().collect(),
+            ..Default::default()
+        },
+        DriveCfg {
+            watches: vec![Watch {
+                writes_only: true,
+                ..Watch::alloc(g)
+            }],
+            suspended: [ThreadId(0)].into_iter().collect(),
+            ..Default::default()
+        },
+    ];
+
+    for (pi, (program, inputs)) in programs.iter().enumerate() {
+        for (ci, cfg) in cfgs.iter().enumerate() {
+            let cfg = DriveCfg {
+                record_schedule: true,
+                ..cfg.clone()
+            };
+            for sched in [
+                Scheduler::random(r.next_u64() % 1000),
+                Scheduler::random(r.next_u64() % 1000),
+                Scheduler::RoundRobin,
+            ] {
+                let m = Machine::new(Arc::clone(program), inputs.clone(), VmConfig::default());
+                let want = drive_session(reference_drive, m.clone(), sched.clone(), &cfg);
+                let got = drive_session(drive, m, sched.clone(), &cfg);
+                assert_eq!(got, want, "program {pi}, cfg {ci}, {sched:?}");
+            }
+        }
     }
 }

@@ -15,13 +15,16 @@
 //! 4. **The store manager is an LRU**: under a seeded insert/touch
 //!    sequence the directory never exceeds its budget and exactly the
 //!    most recently used stores survive.
+//! 5. **Request lines are bounded**: a line over the daemon's cap is
+//!    answered with an error frame and skipped, and the session keeps
+//!    serving the lines after it.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use portend_repro::portend::RunReport;
 use portend_repro::portend_obs::json::Json;
-use portend_repro::portend_serve::{Frame, Server, ServerConfig};
+use portend_repro::portend_serve::{Frame, Server, ServerConfig, MAX_REQUEST_LINE};
 use portend_repro::portend_symex::{
     CmpOp, Expr, Solver, SolverCache, StoreBudget, StoreManager, VarTable, WarmPolicy,
 };
@@ -338,4 +341,40 @@ fn store_manager_lru_matches_a_shadow_model() {
     assert_eq!(listed, expected, "listing is most-recently-used first");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A request line over [`MAX_REQUEST_LINE`] bytes gets one error frame
+/// and is skipped; a line at the cap is still read and parsed, and the
+/// requests around both are served. A small read buffer makes every
+/// line arrive in many chunks.
+#[test]
+fn oversized_request_line_is_rejected_and_skipped() {
+    let server = Server::new(ServerConfig::default()).expect("server");
+    let at_cap = "x".repeat(MAX_REQUEST_LINE);
+    let over_cap = "y".repeat(MAX_REQUEST_LINE + 1);
+    let script = format!(
+        "{{\"op\":\"ping\",\"id\":1}}\n{over_cap}\n{{\"op\":\"ping\",\"id\":2}}\n\
+         {at_cap}\n{over_cap}"
+    );
+    let mut input = std::io::BufReader::with_capacity(7, std::io::Cursor::new(script));
+    let mut output = Vec::new();
+    server.serve_io(&mut input, &mut output).expect("serve");
+    let frames: Vec<Frame> = String::from_utf8(output)
+        .expect("utf8 frames")
+        .lines()
+        .map(|l| Frame::parse(l).expect("parseable frame"))
+        .collect();
+    assert_eq!(frames.len(), 5, "{frames:?}");
+    assert_eq!(frames[0], Frame::Pong { request: 1 });
+    let too_long = |f: &Frame| matches!(f, Frame::Error { request: 0, message } if message.contains("longer than"));
+    assert!(too_long(&frames[1]), "{:?}", frames[1]);
+    assert_eq!(frames[2], Frame::Pong { request: 2 });
+    // The line at the cap is read whole and fails only to parse.
+    assert!(
+        matches!(&frames[3], Frame::Error { request: 0, .. }) && !too_long(&frames[3]),
+        "{:?}",
+        frames[3]
+    );
+    // An unterminated oversized tail before EOF is rejected too.
+    assert!(too_long(&frames[4]), "{:?}", frames[4]);
 }
