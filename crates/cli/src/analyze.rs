@@ -34,9 +34,10 @@ pub struct AnalyzeOptions {
     pub report_dir: Option<PathBuf>,
     /// Directory for per-workload Chrome trace artifacts (`--chrome-dir`).
     pub chrome_dir: Option<PathBuf>,
-    /// Fail (exit nonzero) unless every run shows warm-store activity
+    /// Fail (exit nonzero) when any run is [`Warmth::Cold`]
     /// (`--assert-warm`) — the CI guard that the second run over a
-    /// store directory actually warm-started.
+    /// store directory actually warm-started. A run with no cache or
+    /// slice miss had nothing to warm and passes as `n/a`.
     pub assert_warm: bool,
     /// Suppress streamed frames; artifacts are still written
     /// (`--quiet`).
@@ -72,21 +73,53 @@ pub fn analyze(
         reports.push(report);
     }
 
-    if opts.assert_warm {
-        for report in &reports {
-            let warm = report
-                .cache
-                .as_ref()
-                .is_some_and(|c| c.warmed > 0 || c.warm_hits > 0);
-            if !warm {
-                return Err(CliError::new(format!(
-                    "--assert-warm: run {:?} shows no warm-store activity (cold start)",
-                    report.label
-                )));
-            }
-        }
+    if opts.assert_warm && reports.iter().any(|r| Warmth::of(r) == Warmth::Cold) {
+        let runs: Vec<String> = reports
+            .iter()
+            .map(|r| format!("{} {}", r.label, Warmth::of(r)))
+            .collect();
+        return Err(CliError::new(format!(
+            "--assert-warm: a run shows no warm-store activity (cold start); per run: {}",
+            runs.join(", ")
+        )));
     }
     Ok(reports)
+}
+
+/// How one run stands under `--assert-warm`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Warmth {
+    /// The run loaded entries from the managed store or answered a
+    /// query from them.
+    Warm,
+    /// The run missed the cache, yet loaded and hit nothing warm (or
+    /// had no cache at all).
+    Cold,
+    /// The run made no cache or slice miss: there was nothing a warm
+    /// store could have answered, so it is vacuously warm. Rendered
+    /// `n/a`.
+    NotApplicable,
+}
+
+impl Warmth {
+    /// Classifies a run by its report's cache counters.
+    pub fn of(report: &RunReport) -> Warmth {
+        match &report.cache {
+            Some(c) if c.warmed > 0 || c.warm_hits > 0 => Warmth::Warm,
+            Some(c) if c.misses == 0 && c.slice_misses == 0 => Warmth::NotApplicable,
+            _ => Warmth::Cold,
+        }
+    }
+}
+
+impl std::fmt::Display for Warmth {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Warmth::Warm => "warm",
+            Warmth::Cold => "cold",
+            Warmth::NotApplicable => "n/a",
+        })
+    }
 }
 
 /// Analyzes one workload — the body of the [`analyze`] loop, also the

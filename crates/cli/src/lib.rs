@@ -34,7 +34,7 @@ use std::path::PathBuf;
 use portend_serve::{Request, Server, ServerConfig};
 use portend_symex::StoreBudget;
 
-pub use analyze::{analyze, analyze_workload, AnalyzeOptions};
+pub use analyze::{analyze, analyze_workload, AnalyzeOptions, Warmth};
 pub use submit::submit;
 
 /// A command failure: human-readable, printed to stderr by the binary.
@@ -88,7 +88,8 @@ USAGE:
 `analyze` with no workload names runs the whole modeled suite. Frames
 stream as line-delimited JSON (see portend-serve's protocol docs);
 `--assert-warm` exits nonzero unless every run warm-started from the
-managed store.
+managed store; a run with no cache miss has nothing to warm (n/a) and
+passes.
 ";
 
 /// Runs the CLI against parsed-out process arguments (everything after
@@ -366,6 +367,40 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
         assert!(run(&rm_args, &mut out).is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn assert_warm_treats_runs_without_misses_as_not_applicable() {
+        let dir = std::env::temp_dir().join(format!("portend-cli-na-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let opts = AnalyzeOptions {
+            store_dir: Some(dir.join("store")),
+            assert_warm: true,
+            quiet: true,
+            ..Default::default()
+        };
+        let mut out = Vec::new();
+
+        // AVV makes no cacheable query: even its cold run passes the gate.
+        let reports = analyze(&["AVV".to_string()], &opts, &mut out).unwrap();
+        let cache = reports[0]
+            .cache
+            .as_ref()
+            .expect("a managed store attaches a cache");
+        assert_eq!((cache.misses, cache.slice_misses), (0, 0));
+        assert_eq!(Warmth::of(&reports[0]), Warmth::NotApplicable);
+        assert_eq!(Warmth::NotApplicable.to_string(), "n/a");
+
+        // Beside a genuinely cold run, which fails the gate, it is
+        // rendered n/a.
+        let names = ["AVV".to_string(), "bbuf".to_string()];
+        let err = analyze(&names, &opts, &mut out).unwrap_err().to_string();
+        assert!(err.contains("AVV n/a, bbuf cold"), "{err}");
+
+        // bbuf's store now exists: the same runs pass.
+        let reports = analyze(&names, &opts, &mut out).unwrap();
+        assert_eq!(Warmth::of(&reports[1]), Warmth::Warm);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

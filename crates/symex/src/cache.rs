@@ -200,6 +200,9 @@ pub(crate) enum SliceFlight<'a> {
     /// Another caller is already solving this key; block on its
     /// publication via [`SolverCache::wait_flight`].
     Waiter(Arc<Flight>),
+    /// The key was solved and inserted since the caller's (counted)
+    /// miss; the miss was re-counted as a hit ([`SolverCache::late_hit`]).
+    Landed(FlightResult),
 }
 
 /// The leader's obligation for one claimed key. Dropping the guard
@@ -388,6 +391,12 @@ impl SolverCache {
             self.single_flight.waits.fetch_add(1, Ordering::Relaxed);
             return SliceFlight::Waiter(f);
         }
+        // A leader that finished after the caller's miss has inserted
+        // its entry before retiring its flight (checked under the
+        // registry lock, so one of the two is always visible).
+        if let Some(found) = self.late_hit(key) {
+            return SliceFlight::Landed(found);
+        }
         let f = Flight::new();
         flights.insert(key.to_string(), Arc::clone(&f));
         drop(flights);
@@ -409,6 +418,27 @@ impl SolverCache {
             self.single_flight.deduped.fetch_add(1, Ordering::Relaxed);
         }
         got
+    }
+
+    /// Re-counts a slice lookup that missed, but whose key a concurrent
+    /// solver has inserted since, as the hit a serial run would have
+    /// counted: the miss becomes a hit and the entry gains a hit's heat,
+    /// so the counters and the warm-store export come out the same at
+    /// any worker count. Returns the entry's result and domain box, or
+    /// `None` (nothing re-counted) when the key is not in the cache.
+    ///
+    /// Called for a single-flight waiter whose leader published (the
+    /// leader inserts before it publishes), and by
+    /// [`SolverCache::claim_flight`] for a leader that finished between
+    /// this caller's miss and its claim.
+    pub(crate) fn late_hit(&self, key: &str) -> Option<FlightResult> {
+        let shard = &self.shards[self.shard_of(key)];
+        let mut map = shard.lock().expect("cache shard poisoned");
+        let e = map.get_mut(key)?;
+        e.hits = e.hits.saturating_add(1);
+        self.slice_misses.fetch_sub(1, Ordering::Relaxed);
+        self.slice_hits.fetch_add(1, Ordering::Relaxed);
+        Some((e.result.clone(), e.domain.clone()))
     }
 
     /// A point-in-time view of the single-flight counters, or `None`
@@ -1115,6 +1145,7 @@ mod tests {
             SliceFlight::Leader(g) => g,
             SliceFlight::Waiter(_) => panic!("expected leadership of {key}"),
             SliceFlight::Solo => panic!("single-flight unexpectedly disabled"),
+            SliceFlight::Landed(_) => panic!("{key} is already cached"),
         }
     }
 
@@ -1204,6 +1235,39 @@ mod tests {
         assert_eq!(cache.wait_flight(&flight), None);
         assert!(leader.join().is_err(), "leader panicked by construction");
         drop(lead(&cache, "doomed"));
+    }
+
+    /// A miss answered by a concurrent solve is counted as the hit a
+    /// serial run makes of it, whether the caller waited on the leader's
+    /// flight or claimed after the leader had already retired it.
+    #[test]
+    fn misses_answered_concurrently_count_as_hits() {
+        let cache = SolverCache::new(2);
+        // Waiter: both miss, one leads, the other receives the result.
+        assert!(matches!(cache.lookup_slice("a"), CacheAnswer::Miss));
+        assert!(matches!(cache.lookup_slice("a"), CacheAnswer::Miss));
+        let guard = lead(&cache, "a");
+        let SliceFlight::Waiter(flight) = cache.claim_flight("a") else {
+            panic!("second claimant must wait");
+        };
+        cache.insert("a".into(), SatResult::Unsat);
+        guard.publish(&SatResult::Unsat, None);
+        assert!(cache.wait_flight(&flight).is_some());
+        assert!(cache.late_hit("a").is_some());
+        // Late claim: the leader inserted and retired before the claim.
+        assert!(matches!(cache.lookup_slice("b"), CacheAnswer::Miss));
+        cache.insert("b".into(), SatResult::Unsat);
+        assert!(matches!(
+            cache.claim_flight("b"),
+            SliceFlight::Landed((SatResult::Unsat, None))
+        ));
+        let s = cache.snapshot();
+        assert_eq!(
+            (s.slice_misses, s.slice_hits),
+            (1, 2),
+            "only a's leader solved"
+        );
+        assert_eq!(cache.late_hit("absent"), None);
     }
 
     /// Disabling the registry short-circuits every claim to `Solo` and

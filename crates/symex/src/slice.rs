@@ -415,9 +415,14 @@ pub(crate) fn solve_slices(
                 match cache.claim_flight(key) {
                     SliceFlight::Solo => {}
                     SliceFlight::Leader(g) => flight_guard = Some(g),
+                    SliceFlight::Landed((r, _)) => {
+                        from_cache = true;
+                        break 'resolve r;
+                    }
                     SliceFlight::Waiter(f) => {
                         stats.single_flight_waits += 1;
                         if let Some((r, doms)) = cache.wait_flight(&f) {
+                            cache.late_hit(key);
                             portend_obs::instant(portend_obs::EventKind::SliceDedup, pos as u64, 0);
                             stats.slices_deduped += 1;
                             captured = doms.map(|d| d.to_vec());
@@ -684,6 +689,23 @@ fn solve_cold(
     let (guard, waited) = match flight {
         SliceFlight::Solo => (None, false),
         SliceFlight::Leader(g) => (Some(g), false),
+        // Solved by another solver since the cheap pass missed: reused
+        // like a published flight, without the wait.
+        SliceFlight::Landed((result, doms)) => {
+            if result == SatResult::Unsat {
+                min_unsat.fetch_min(pos, Ordering::SeqCst);
+            }
+            return Some(ColdSolve {
+                result,
+                nodes: 0,
+                prune_passes: 0,
+                budget_exhausted: false,
+                domains: doms.map(|d| d.to_vec()),
+                exec: Duration::ZERO,
+                deduped: true,
+                waited: false,
+            });
+        }
         SliceFlight::Waiter(f) => {
             if pos > min_unsat.load(Ordering::SeqCst) {
                 return None; // cancelled before waiting
@@ -692,6 +714,7 @@ fn solve_cold(
             let cache = solver.query_cache().expect("a waiter implies a cache");
             match cache.wait_flight(&f) {
                 Some((result, doms)) => {
+                    cache.late_hit(q.key.as_deref().expect("a waiter implies a key"));
                     portend_obs::instant(portend_obs::EventKind::SliceDedup, pos as u64, 0);
                     if result == SatResult::Unsat {
                         min_unsat.fetch_min(pos, Ordering::SeqCst);

@@ -16,7 +16,7 @@ use crate::machine::{Machine, StepEvent};
 use crate::monitor::Monitor;
 use crate::program::{AllocId, BlockId, Pc};
 use crate::sched::{PickReason, Scheduler};
-use crate::thread::ThreadId;
+use crate::thread::{Frame, ThreadId};
 
 /// A watched memory location; hitting it returns control to the caller
 /// *before* the access executes (this is how the classifier checkpoints
@@ -206,6 +206,13 @@ fn watch_match(m: &Machine, watches: &[Watch]) -> Option<WatchHit> {
 /// no thread list: completion, deadlock and `Stuck` are impossible then,
 /// so the runnable and alive sets are computed only at a real scheduling
 /// point, into buffers reused for the rest of the call.
+///
+/// Under a passive monitor ([`Monitor::is_passive`]) a spin that provably
+/// repeats — the same thread, frames and scheduler state at two
+/// scheduling points with no effect between them — is fast-forwarded by
+/// whole periods up to the step budget. The stop, the machine state and
+/// every counter come out exactly as if each step had been interpreted
+/// (DESIGN.md, "Spin fast-forward").
 pub fn drive(
     m: &mut Machine,
     sched: &mut Scheduler,
@@ -217,6 +224,7 @@ pub fn drive(
     // The schedulable threads (runnable, not suspended) and the alive
     // ones (runnable, suspended or not), refilled at each scheduling point.
     let (mut runnable, mut alive) = (Vec::new(), Vec::new());
+    let mut spin = mon.is_passive().then(|| SpinDetector::new(m));
     loop {
         let cur_ok = m.thread(m.cur).is_runnable() && !cfg.suspended.contains(&m.cur);
         let at_preempt = cur_ok
@@ -240,6 +248,9 @@ pub fn drive(
                     return DriveStop::Stuck;
                 }
                 return DriveStop::Error(VmError::Deadlock(m.deadlock_info()));
+            }
+            if let Some(spin) = &mut spin {
+                local_steps += spin.at_pick(m, sched, local_steps, cfg.max_steps);
             }
             let reason = if cur_ok {
                 PickReason::Preemption
@@ -282,6 +293,159 @@ pub fn drive(
             StepEvent::SymAssert { cond, msg } => return DriveStop::SymAssert { cond, msg },
             StepEvent::Err(e) => return DriveStop::Error(e),
         }
+    }
+}
+
+/// Effect-free scheduling points in a row before [`SpinDetector`] takes
+/// its first snapshot. Runs that never spin (almost all of them) never
+/// get this far, so they pay no snapshot and no comparison; a spin that
+/// runs into a classification timeout passes it within its first few
+/// hundred steps.
+const SPIN_QUIET_PICKS: u32 = 128;
+
+/// The state a spin must come back to, taken at a scheduling point just
+/// before the pick, plus the counters that measure one period from it.
+#[derive(Debug)]
+struct SpinMark {
+    cur: ThreadId,
+    frames: Vec<Vec<Frame>>,
+    sched: Scheduler,
+    local_steps: u64,
+    steps: u64,
+    thread_steps: Vec<u64>,
+    preemptions: u64,
+    log_len: usize,
+}
+
+impl SpinMark {
+    fn take(m: &Machine, sched: &Scheduler, local_steps: u64) -> SpinMark {
+        SpinMark {
+            cur: m.cur,
+            frames: m.threads.iter().map(|t| t.frames.clone()).collect(),
+            sched: sched.clone(),
+            local_steps,
+            steps: m.steps,
+            thread_steps: m.threads.iter().map(|t| t.steps).collect(),
+            preemptions: m.preemptions,
+            log_len: m.sched_log.len(),
+        }
+    }
+
+    /// Whether the machine and scheduler are back in the marked state.
+    /// With no effect since the mark, this tuple is all of the state
+    /// that can have changed.
+    fn repeats(&self, m: &Machine, sched: &Scheduler) -> bool {
+        m.cur == self.cur
+            && sched.same_state(&self.sched)
+            && m.threads.len() == self.frames.len()
+            && m.threads
+                .iter()
+                .zip(&self.frames)
+                .all(|(t, f)| t.frames == *f)
+    }
+
+    /// Advances every counter by as many whole periods (mark → now) as
+    /// the step budget still holds, as interpreting them would; returns
+    /// the steps skipped.
+    fn fast_forward(&self, m: &mut Machine, local_steps: u64, max_steps: u64) -> u64 {
+        let period = local_steps - self.local_steps;
+        let n = (max_steps - local_steps) / period;
+        m.steps += n * (m.steps - self.steps);
+        for (t, base) in m.threads.iter_mut().zip(&self.thread_steps) {
+            t.steps += n * (t.steps - base);
+        }
+        m.preemptions += n * (m.preemptions - self.preemptions);
+        // Without `record_schedule` the log did not grow: nothing repeats.
+        let picks = m.sched_log.as_slice()[self.log_len..].to_vec();
+        if !picks.is_empty() {
+            for _ in 0..n {
+                for &t in &picks {
+                    m.sched_log.push(t);
+                }
+            }
+        }
+        n * period
+    }
+}
+
+/// Finds an exact cycle of a spinning execution at [`drive`]'s scheduling
+/// points and skips its whole periods.
+///
+/// Every instruction outside [`Inst::is_register_only`](crate::Inst::is_register_only) counts
+/// as an effect on the machine. Between two scheduling points with no
+/// effect, only the current thread's registers and pc, the step and
+/// preemption counters, the schedule log and the scheduler can change;
+/// so when `(current thread, every thread's frames, scheduler state)`
+/// repeats, the execution from there on repeats the same period until
+/// the budget runs out. That is only sound when nothing watches the
+/// skipped instructions, so [`drive`] uses it under a passive monitor
+/// only.
+///
+/// Snapshots start after [`SPIN_QUIET_PICKS`] effect-free scheduling
+/// points in a row and are refreshed Brent-style, at power-of-two
+/// distances, so a period of `q` scheduling points is found within
+/// about `2q` of them with `log2 q` snapshots.
+#[derive(Debug)]
+struct SpinDetector {
+    /// Effect-free scheduling points in a row, saturating at the start
+    /// threshold.
+    quiet: u32,
+    mark: Option<SpinMark>,
+    /// Scheduling points since `mark` was taken.
+    since_mark: u64,
+    /// Scheduling points after which `mark` is replaced.
+    span: u64,
+}
+
+impl SpinDetector {
+    fn new(m: &mut Machine) -> SpinDetector {
+        m.effected = false;
+        SpinDetector {
+            quiet: 0,
+            mark: None,
+            since_mark: 0,
+            span: 1,
+        }
+    }
+
+    /// Called at each scheduling point before the pick; returns the
+    /// steps it fast-forwarded (0 unless a cycle closed here).
+    fn at_pick(
+        &mut self,
+        m: &mut Machine,
+        sched: &Scheduler,
+        local_steps: u64,
+        max_steps: u64,
+    ) -> u64 {
+        if std::mem::take(&mut m.effected) {
+            self.quiet = 0;
+            self.mark = None;
+            return 0;
+        }
+        if self.quiet < SPIN_QUIET_PICKS {
+            self.quiet += 1;
+            return 0;
+        }
+        let Some(mark) = &self.mark else {
+            self.mark = Some(SpinMark::take(m, sched, local_steps));
+            self.since_mark = 0;
+            self.span = 1;
+            return 0;
+        };
+        self.since_mark += 1;
+        if mark.repeats(m, sched) {
+            let skipped = mark.fast_forward(m, local_steps, max_steps);
+            // Less than one period of budget is left: nothing more to skip.
+            self.quiet = 0;
+            self.mark = None;
+            return skipped;
+        }
+        if self.since_mark >= self.span {
+            self.mark = Some(SpinMark::take(m, sched, local_steps));
+            self.since_mark = 0;
+            self.span *= 2;
+        }
+        0
     }
 }
 
@@ -477,6 +641,42 @@ mod tests {
         let mut mon = NullMonitor;
         let stop = run_to_completion(&mut m, &mut s, &mut mon, 1000);
         assert_eq!(stop, DriveStop::StepLimit);
+    }
+
+    /// Main spawns a producer that would set `flag`, then spins until it
+    /// is set; with the producer suspended the spin runs out the budget.
+    fn suspended_producer_program() -> crate::program::Program {
+        let mut pb = ProgramBuilder::new("spin", "spin.c");
+        let g = pb.global("flag", 0);
+        let producer = pb.func("producer", |f| {
+            let _ = f.param();
+            f.store(g, Operand::Imm(0), Operand::Imm(1));
+            f.ret(None);
+        });
+        let main = pb.func("main", |f| {
+            let t = f.spawn(producer, Operand::Imm(0));
+            f.spin_while_eq(g, Operand::Imm(0), 0);
+            f.join(t);
+            f.ret(None);
+        });
+        pb.build(main).unwrap()
+    }
+
+    #[test]
+    fn huge_budget_spin_finishes_only_by_fast_forward() {
+        // Interpreting 2^40 steps would take hours; skipping whole
+        // periods takes a few hundred interpreted steps.
+        let mut m = boot(suspended_producer_program(), vec![]);
+        let cfg = DriveCfg {
+            max_steps: 1 << 40,
+            suspended: [ThreadId(1)].into_iter().collect(),
+            ..Default::default()
+        };
+        let stop = drive(&mut m, &mut Scheduler::Cooperative, &mut NullMonitor, &cfg);
+        assert_eq!(stop, DriveStop::StepLimit);
+        assert_eq!(m.steps, 1 << 40);
+        assert_eq!(m.thread(ThreadId(0)).steps, 1 << 40);
+        assert!(m.preemptions > (1 << 37), "one pick per spin iteration");
     }
 
     #[test]

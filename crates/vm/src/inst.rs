@@ -215,6 +215,31 @@ pub enum Inst {
 }
 
 impl Inst {
+    /// Whether executing this instruction can change nothing but the
+    /// executing thread's registers and pc (and the step counters).
+    ///
+    /// This is a whitelist: every other instruction — including any added
+    /// later — counts as an *effect* (see `Machine::step`), which is what
+    /// the executor's spin fast-forward relies on. A failing `Assert` or
+    /// `Bin`, or a symbolic `Branch`/`Assert`, ends the drive instead of
+    /// changing state, so they stay on the list.
+    pub fn is_register_only(&self) -> bool {
+        matches!(
+            self,
+            Inst::Const { .. }
+                | Inst::Copy { .. }
+                | Inst::Not { .. }
+                | Inst::Bin { .. }
+                | Inst::Cmp { .. }
+                | Inst::Load { .. }
+                | Inst::Jump { .. }
+                | Inst::Branch { .. }
+                | Inst::Assert { .. }
+                | Inst::Yield
+                | Inst::Nop
+        )
+    }
+
     /// Whether executing this instruction is a scheduler preemption point.
     ///
     /// Synchronization operations and `Yield` are always preemption points
@@ -403,6 +428,25 @@ mod tests {
             index: Operand::Imm(0)
         }
         .is_preemption_point());
+    }
+
+    #[test]
+    fn register_only_whitelist() {
+        assert!(Inst::Yield.is_register_only());
+        assert!(Inst::Load {
+            dst: 0,
+            base: AllocId(0),
+            index: Operand::Imm(0)
+        }
+        .is_register_only());
+        assert!(!Inst::Store {
+            base: AllocId(0),
+            index: Operand::Imm(0),
+            src: Operand::Imm(1)
+        }
+        .is_register_only());
+        assert!(!Inst::MutexLock { mutex: SyncId(0) }.is_register_only());
+        assert!(!Inst::Input { dst: 0 }.is_register_only());
     }
 
     #[test]

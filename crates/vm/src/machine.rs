@@ -106,6 +106,14 @@ pub struct Machine {
     /// Number of symbolic branch forks this state went through
     /// (Fig. 9's "dependent branches").
     pub sym_branches: u64,
+    /// Set when [`Machine::step`] dispatches an instruction that is not
+    /// [`Inst::is_register_only`] — one that may change memory,
+    /// synchronization or thread state, inputs or outputs — and cleared
+    /// by the executor at its scheduling points. While it stays clear,
+    /// only the current thread's registers and pc move. (A flag rather
+    /// than a count: it fits in the struct's padding, so forks copy no
+    /// extra byte.)
+    pub(crate) effected: bool,
     cfg: VmConfig,
 }
 
@@ -137,6 +145,7 @@ impl Machine {
             preemptions: 0,
             sched_log: SchedLog::new(),
             sym_branches: 0,
+            effected: false,
             cfg,
         }
     }
@@ -407,6 +416,9 @@ impl Machine {
             Some(i) => i,
             None => return StepEvent::Err(self.misuse(pc, "pc out of range")),
         };
+        if !inst.is_register_only() {
+            self.effected = true;
+        }
 
         // Pending resume obligations replace normal instruction dispatch.
         match self.thread(tid).phase {
@@ -512,7 +524,9 @@ impl Machine {
                     Ok(v) => {
                         self.count_step();
                         self.set_reg(dst, v);
-                        mon.on_access(&self.access_event(tid, pc, base, idx, false));
+                        if !mon.is_passive() {
+                            mon.on_access(&self.access_event(tid, pc, base, idx, false));
+                        }
                         self.advance();
                         StepEvent::Ran
                     }
@@ -534,7 +548,9 @@ impl Machine {
                 match self.mem.store(base, idx, v) {
                     Ok(()) => {
                         self.count_step();
-                        mon.on_access(&self.access_event(tid, pc, base, idx, true));
+                        if !mon.is_passive() {
+                            mon.on_access(&self.access_event(tid, pc, base, idx, true));
+                        }
                         self.advance();
                         StepEvent::Ran
                     }

@@ -110,13 +110,25 @@ pub trait Monitor {
     fn on_thread(&mut self, _ev: &ThreadEvent) {}
     /// Called after each `Output` instruction.
     fn on_output(&mut self, _rec: &OutputRec) {}
+    /// Whether this monitor ignores every event. The machine then skips
+    /// building access events for it, and [`crate::drive`] may
+    /// fast-forward over a provably periodic spin without executing (and
+    /// so without reporting) its instructions. Only a monitor whose
+    /// callbacks do nothing may return `true`; the default is `false`.
+    fn is_passive(&self) -> bool {
+        false
+    }
 }
 
 /// A monitor that ignores everything.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullMonitor;
 
-impl Monitor for NullMonitor {}
+impl Monitor for NullMonitor {
+    fn is_passive(&self) -> bool {
+        true
+    }
+}
 
 /// Fans events out to several monitors in order.
 pub struct MonitorSet<'a> {
@@ -208,6 +220,13 @@ mod tests {
         }
         assert_eq!(a.threads.len(), 1);
         assert_eq!(b.threads.len(), 1);
+    }
+
+    #[test]
+    fn only_the_null_monitor_is_passive() {
+        assert!(NullMonitor.is_passive());
+        assert!(!RecordingMonitor::default().is_passive());
+        assert!(!MonitorSet::new(vec![]).is_passive());
     }
 
     #[test]

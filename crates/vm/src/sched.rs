@@ -159,6 +159,38 @@ impl Scheduler {
         }
     }
 
+    /// Whether `self` and `other` will make the same decisions from now
+    /// on, given the same arguments: same policy and same position (a
+    /// trace compared by identity, not contents). `false` never breaks
+    /// anything, it only makes the executor's spin detection miss.
+    pub(crate) fn same_state(&self, other: &Scheduler) -> bool {
+        match (self, other) {
+            (Scheduler::Cooperative, Scheduler::Cooperative)
+            | (Scheduler::RoundRobin, Scheduler::RoundRobin) => true,
+            (Scheduler::Random(a), Scheduler::Random(b)) => a == b,
+            (
+                Scheduler::Trace {
+                    trace,
+                    pos,
+                    diverged,
+                    fallback,
+                },
+                Scheduler::Trace {
+                    trace: trace_b,
+                    pos: pos_b,
+                    diverged: diverged_b,
+                    fallback: fallback_b,
+                },
+            ) => {
+                Arc::ptr_eq(trace, trace_b)
+                    && pos == pos_b
+                    && diverged == diverged_b
+                    && fallback.same_state(fallback_b)
+            }
+            _ => false,
+        }
+    }
+
     /// Picks the next thread to run.
     ///
     /// `schedulable` is non-empty and sorted ascending: the threads the
@@ -317,6 +349,23 @@ mod tests {
         let got = s.pick(&[t(0), t(1)], &[t(0), t(1)], t(0), PickReason::Preemption);
         assert_eq!(got, t(0));
         assert!(s.diverged());
+    }
+
+    #[test]
+    fn same_state_tracks_position_not_just_policy() {
+        let mut a = Scheduler::follow_with_fallback(vec![t(1), t(0)], Scheduler::random(3));
+        let b = a.clone();
+        assert!(a.same_state(&b));
+        let _ = a.pick(&[t(0), t(1)], &[t(0), t(1)], t(0), PickReason::Preemption);
+        assert!(!a.same_state(&b), "trace position moved");
+        let c = Scheduler::follow_with_fallback(vec![t(1), t(0)], Scheduler::random(3));
+        assert!(!c.same_state(&b), "a different trace allocation");
+        let mut r = Scheduler::random(5);
+        let r0 = r.clone();
+        let _ = r.pick(&[t(0)], &[t(0)], t(0), PickReason::Preemption);
+        assert!(!r.same_state(&r0), "a one-thread pick still draws");
+        assert!(Scheduler::RoundRobin.same_state(&Scheduler::RoundRobin));
+        assert!(!Scheduler::RoundRobin.same_state(&Scheduler::Cooperative));
     }
 
     #[test]

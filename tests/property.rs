@@ -18,9 +18,9 @@ use portend_repro::portend_symex::{
     SolverConfig, VarId, VarTable,
 };
 use portend_repro::portend_vm::{
-    drive, AllocId, DriveCfg, DriveStop, InputMode, InputSource, InputSpec, Machine, Monitor,
-    Operand, PickReason, Program, ProgramBuilder, RecordingMonitor, Scheduler, SmallRng, StepEvent,
-    SymDomain, ThreadId, VmConfig, VmError, Watch, WatchHit,
+    drive, AllocId, DriveCfg, DriveStop, InputMode, InputSource, InputSpec, Inst, Machine, Monitor,
+    NullMonitor, Operand, PickReason, Program, ProgramBuilder, RecordingMonitor, Scheduler,
+    SmallRng, StepEvent, SymDomain, ThreadId, VmConfig, VmError, Watch, WatchHit,
 };
 use portend_repro::portend_workloads::conformance::random_program;
 
@@ -580,31 +580,51 @@ type DriveFn = fn(&mut Machine, &mut Scheduler, &mut dyn Monitor, &DriveCfg) -> 
 struct Session {
     stops: Vec<DriveStop>,
     steps: u64,
+    thread_steps: Vec<u64>,
     preemptions: u64,
     sched_log: Vec<ThreadId>,
     output: u64,
     memory: u64,
     accesses: usize,
     syncs: usize,
+    /// What the scheduler decides next: its state after the session.
+    next_picks: Vec<ThreadId>,
 }
 
-/// Drives `m` the way the classifier's supervisor does: a watch hit is
-/// stepped over, a symbolic fork takes its true side, a step limit
-/// resumes with a fresh budget; anything else ends the session.
+/// Which monitor a session runs under. `drive` fast-forwards periodic
+/// spins only under a passive monitor, so `Null` exercises that path
+/// and `Recording` the step-by-step one.
+#[derive(Debug, Clone, Copy)]
+enum MonitorMode {
+    Recording,
+    Null,
+}
+
+/// Drives `m` the way the classifier's supervisor does, for at most
+/// `rounds` drive calls: a watch hit is stepped over, a symbolic fork
+/// takes its true side, a step limit resumes with a fresh budget;
+/// anything else ends the session.
 fn drive_session(
     drive_fn: DriveFn,
     mut m: Machine,
     mut sched: Scheduler,
     cfg: &DriveCfg,
+    mode: MonitorMode,
+    rounds: usize,
 ) -> Session {
-    let mut mon = RecordingMonitor::default();
+    let mut recording = RecordingMonitor::default();
+    let mut null = NullMonitor;
+    let mon: &mut dyn Monitor = match mode {
+        MonitorMode::Recording => &mut recording,
+        MonitorMode::Null => &mut null,
+    };
     let mut stops = Vec::new();
-    for _ in 0..64 {
-        let stop = drive_fn(&mut m, &mut sched, &mut mon, cfg);
+    for _ in 0..rounds {
+        let stop = drive_fn(&mut m, &mut sched, mon, cfg);
         stops.push(stop.clone());
         match stop {
             DriveStop::WatchHit(_) => {
-                let _ = m.step(&mut mon);
+                let _ = m.step(mon);
             }
             DriveStop::SymBranch { cond, then_b, .. } => m.apply_branch(then_b, cond.truthy()),
             DriveStop::SymAssert { cond, msg } => {
@@ -616,15 +636,21 @@ fn drive_session(
             DriveStop::Completed | DriveStop::Error(_) | DriveStop::Stuck => break,
         }
     }
+    let all: Vec<ThreadId> = m.threads.iter().map(|t| t.id).collect();
+    let next_picks = (0..16)
+        .map(|_| sched.pick(&all, &all, m.cur, PickReason::Preemption))
+        .collect();
     Session {
         stops,
         steps: m.steps,
+        thread_steps: m.threads.iter().map(|t| t.steps).collect(),
         preemptions: m.preemptions,
         sched_log: m.sched_log.to_vec(),
         output: m.output.hash_chain(),
         memory: m.mem.fingerprint(),
-        accesses: mon.accesses.len(),
-        syncs: mon.syncs.len(),
+        accesses: recording.accesses.len(),
+        syncs: recording.syncs.len(),
+        next_picks,
     }
 }
 
@@ -713,10 +739,12 @@ fn symbolic_program() -> Arc<Program> {
 }
 
 /// `drive` matches the reference scheduling loop stop for stop: same
-/// `DriveStop`s, step counts, scheduler consultations and recorded
-/// schedule, over random programs, the racy counter, a deadlocking and
-/// a symbolic program, under seeded random and round-robin schedulers,
-/// with watches, preemption watches, suspensions and tight budgets.
+/// `DriveStop`s, step counts (total and per thread), scheduler
+/// consultations, recorded schedule, memory, outputs and scheduler
+/// state, over random programs, the racy counter, a deadlocking and a
+/// symbolic program, under seeded random and round-robin schedulers,
+/// with watches, preemption watches, suspensions and tight budgets,
+/// under a recording and under a passive monitor.
 #[test]
 fn drive_matches_reference_scheduling_loop() {
     let mut programs: Vec<(Arc<Program>, InputSource)> = Vec::new();
@@ -782,10 +810,188 @@ fn drive_matches_reference_scheduling_loop() {
                 Scheduler::random(r.next_u64() % 1000),
                 Scheduler::RoundRobin,
             ] {
-                let m = Machine::new(Arc::clone(program), inputs.clone(), VmConfig::default());
-                let want = drive_session(reference_drive, m.clone(), sched.clone(), &cfg);
-                let got = drive_session(drive, m, sched.clone(), &cfg);
-                assert_eq!(got, want, "program {pi}, cfg {ci}, {sched:?}");
+                for mode in [MonitorMode::Recording, MonitorMode::Null] {
+                    let m = Machine::new(Arc::clone(program), inputs.clone(), VmConfig::default());
+                    let want =
+                        drive_session(reference_drive, m.clone(), sched.clone(), &cfg, mode, 64);
+                    let got = drive_session(drive, m, sched.clone(), &cfg, mode, 64);
+                    assert_eq!(got, want, "program {pi}, cfg {ci}, {sched:?}, {mode:?}");
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Periodic spins: the fast-forward path of `drive`.
+// ---------------------------------------------------------------------
+
+/// `flag` (alloc 0) is set by a producer thread T1; T0 (and, with
+/// `second_spinner`, T2) wait for it in a yielding `spin_while_eq`.
+fn spin_on_flag_program(second_spinner: bool) -> Arc<Program> {
+    let mut pb = ProgramBuilder::new("spin", "spin.c");
+    let flag = pb.global("flag", 0);
+    let producer = pb.func("producer", move |f| {
+        let _ = f.param();
+        f.store(flag, Operand::Imm(0), Operand::Imm(1));
+        f.ret(None);
+    });
+    let spinner = pb.func("spinner", move |f| {
+        let _ = f.param();
+        f.spin_while_eq(flag, Operand::Imm(0), 0);
+        f.ret(None);
+    });
+    let main = pb.func("main", move |f| {
+        let p = f.spawn(producer, Operand::Imm(0));
+        let s = second_spinner.then(|| f.spawn(spinner, Operand::Imm(1)));
+        f.spin_while_eq(flag, Operand::Imm(0), 0);
+        f.join(p);
+        if let Some(s) = s {
+            f.join(s);
+        }
+        let v = f.load(flag, Operand::Imm(0));
+        f.output(1, v);
+        f.ret(None);
+    });
+    Arc::new(pb.build(main).unwrap())
+}
+
+/// T0 waits for T1's flag in a loop with no `Yield`: it reaches a
+/// scheduling point only where a preemption watch puts one.
+fn spin_without_yield_program() -> Arc<Program> {
+    let mut pb = ProgramBuilder::new("busy", "busy.c");
+    let flag = pb.global("flag", 0);
+    let producer = pb.func("producer", move |f| {
+        let _ = f.param();
+        f.store(flag, Operand::Imm(0), Operand::Imm(1));
+        f.ret(None);
+    });
+    let main = pb.func("main", move |f| {
+        let p = f.spawn(producer, Operand::Imm(0));
+        f.while_loop(
+            |f| {
+                let v = f.load(flag, Operand::Imm(0));
+                f.cmp(CmpOp::Eq, v, Operand::Imm(0))
+            },
+            |_| {},
+        );
+        f.join(p);
+        f.ret(None);
+    });
+    Arc::new(pb.build(main).unwrap())
+}
+
+/// T0 bumps a counter (alloc 1) on every wait iteration, then zeroes the
+/// registers it used: its frames repeat exactly while memory does not,
+/// so only counting the `Store` as an effect keeps it from being
+/// mistaken for a cycle.
+fn spin_with_store_program() -> Arc<Program> {
+    let mut pb = ProgramBuilder::new("count", "count.c");
+    let flag = pb.global("flag", 0);
+    let polls = pb.global("polls", 0);
+    let producer = pb.func("producer", move |f| {
+        let _ = f.param();
+        f.store(flag, Operand::Imm(0), Operand::Imm(1));
+        f.ret(None);
+    });
+    let main = pb.func("main", move |f| {
+        let p = f.spawn(producer, Operand::Imm(0));
+        f.while_loop(
+            |f| {
+                let v = f.load(flag, Operand::Imm(0));
+                f.cmp(CmpOp::Eq, v, Operand::Imm(0))
+            },
+            |f| {
+                let n = f.load(polls, Operand::Imm(0));
+                let n1 = f.add(n, Operand::Imm(1));
+                f.store(polls, Operand::Imm(0), n1);
+                for r in [n, n1] {
+                    if let Operand::Reg(dst) = r {
+                        f.emit(Inst::Const { dst, value: 0 });
+                    }
+                }
+                f.yield_();
+            },
+        );
+        f.join(p);
+        let v = f.load(polls, Operand::Imm(0));
+        f.output(1, v);
+        f.ret(None);
+    });
+    Arc::new(pb.build(main).unwrap())
+}
+
+/// `drive` under a passive monitor skips whole periods of a spin, yet
+/// every observable result equals the reference loop's step-by-step
+/// interpretation: stops, total and per-thread steps, preemptions,
+/// recorded schedule, memory, outputs and the scheduler's next 16
+/// picks. Cases: a suspended producer with one or two spinning
+/// consumers, a spin without a yield (with and without a preemption
+/// watch on the flag), a spin that stores on every iteration, a trace
+/// that slips on the suspended producer, a random scheduler with one
+/// runnable thread, round-robin and cooperative schedulers, schedule
+/// recording on and off, and budgets that are not a multiple of any
+/// period.
+#[test]
+fn drive_matches_reference_on_periodic_spins() {
+    let programs = [
+        spin_on_flag_program(false),
+        spin_on_flag_program(true),
+        spin_without_yield_program(),
+        spin_with_store_program(),
+    ];
+    let flag = AllocId(0);
+    let producer: BTreeSet<ThreadId> = [ThreadId(1)].into_iter().collect();
+    let cfgs = [
+        DriveCfg {
+            max_steps: 2_011,
+            suspended: producer.clone(),
+            ..Default::default()
+        },
+        DriveCfg {
+            max_steps: 5_003,
+            suspended: producer.clone(),
+            preempt_watches: vec![Watch::cell(flag, 0)],
+            ..Default::default()
+        },
+        DriveCfg {
+            max_steps: 3_001,
+            preempt_watches: vec![Watch::alloc(flag).by(ThreadId(0))],
+            ..Default::default()
+        },
+        DriveCfg::with_budget(4_099),
+    ];
+    let t = ThreadId;
+    let scheds = [
+        Scheduler::Cooperative,
+        Scheduler::RoundRobin,
+        Scheduler::random(7),
+        Scheduler::follow_with_fallback(vec![t(1), t(1), t(0), t(2)], Scheduler::RoundRobin),
+        Scheduler::follow_with_fallback(vec![t(0), t(1)], Scheduler::random(11)),
+    ];
+    for (pi, program) in programs.iter().enumerate() {
+        for (ci, cfg) in cfgs.iter().enumerate() {
+            for record_schedule in [false, true] {
+                let cfg = DriveCfg {
+                    record_schedule,
+                    ..cfg.clone()
+                };
+                for sched in &scheds {
+                    for mode in [MonitorMode::Null, MonitorMode::Recording] {
+                        let m = Machine::new(
+                            Arc::clone(program),
+                            InputSource::new(InputSpec::concrete(vec![]), InputMode::Concrete),
+                            VmConfig::default(),
+                        );
+                        let want =
+                            drive_session(reference_drive, m.clone(), sched.clone(), &cfg, mode, 3);
+                        let got = drive_session(drive, m, sched.clone(), &cfg, mode, 3);
+                        assert_eq!(
+                            got, want,
+                            "program {pi}, cfg {ci}, record {record_schedule}, {sched:?}, {mode:?}"
+                        );
+                    }
+                }
             }
         }
     }
