@@ -174,12 +174,11 @@ impl Server {
     /// use per the analysis configuration's farm knobs.
     fn resident_cache(&self, fingerprint: u64) -> Arc<SolverCache> {
         let mut caches = self.caches.lock().expect("cache registry poisoned");
-        Arc::clone(caches.entry(fingerprint).or_insert_with(|| {
-            let knobs = &self.analysis.farm;
-            let cache = Arc::new(SolverCache::new(knobs.cache_shards));
-            cache.set_single_flight(knobs.single_flight);
-            cache
-        }))
+        Arc::clone(
+            caches
+                .entry(fingerprint)
+                .or_insert_with(|| Arc::new(SolverCache::new(self.analysis.farm.cache_shards))),
+        )
     }
 
     /// Serves line-delimited requests from `input` to `output` until

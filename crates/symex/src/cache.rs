@@ -33,7 +33,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use crate::domain::{Interval, VarId, VarTable};
@@ -127,8 +127,8 @@ enum FlightState {
     Pending,
     /// The leader solved and published; waiters reuse the result.
     Published(FlightResult),
-    /// The leader stopped without publishing (UNSAT cancellation or a
-    /// panic unwound through its guard); waiters solve for themselves.
+    /// The leader stopped without publishing (a panic unwound through
+    /// its guard); waiters solve for themselves.
     Abandoned,
 }
 
@@ -169,7 +169,6 @@ impl Flight {
 /// instead of duplicating the solve. See [`SolverCache::claim_flight`].
 #[derive(Debug)]
 struct SingleFlight {
-    enabled: AtomicBool,
     flights: Mutex<HashMap<String, Arc<Flight>>>,
     claims: AtomicU64,
     deduped: AtomicU64,
@@ -179,7 +178,6 @@ struct SingleFlight {
 impl SingleFlight {
     fn new() -> Self {
         SingleFlight {
-            enabled: AtomicBool::new(true),
             flights: Mutex::new(HashMap::new()),
             claims: AtomicU64::new(0),
             deduped: AtomicU64::new(0),
@@ -190,12 +188,10 @@ impl SingleFlight {
 
 /// Outcome of [`SolverCache::claim_flight`].
 pub(crate) enum SliceFlight<'a> {
-    /// Single-flight is disabled: solve exactly as before.
-    Solo,
     /// This caller owns the key's solve. It must either
     /// [`FlightGuard::publish`] the result or drop the guard (which
     /// abandons the flight and wakes every waiter to solve for itself —
-    /// the panic/cancellation-safe path).
+    /// the panic-safe path).
     Leader(FlightGuard<'a>),
     /// Another caller is already solving this key; block on its
     /// publication via [`SolverCache::wait_flight`].
@@ -207,8 +203,8 @@ pub(crate) enum SliceFlight<'a> {
 
 /// The leader's obligation for one claimed key. Dropping the guard
 /// without publishing marks the flight abandoned and wakes all waiters
-/// — so a leader cancelled by the UNSAT protocol, or unwinding from a
-/// panic, can never strand a waiter on the condvar.
+/// — so a leader unwinding from a panic can never strand a waiter on
+/// the condvar.
 pub(crate) struct FlightGuard<'a> {
     registry: &'a SingleFlight,
     flight: Arc<Flight>,
@@ -363,23 +359,11 @@ impl SolverCache {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Enables or disables the single-flight registry (on by default).
-    /// Purely a scheduling switch: with it off, concurrent cold solves
-    /// of the same key each solve and race to insert — the pre-existing
-    /// behavior, answer-preserving either way.
-    pub fn set_single_flight(&self, on: bool) {
-        self.single_flight.enabled.store(on, Ordering::Relaxed);
-    }
-
     /// Claims the in-flight solve of `key`. The first claimant becomes
     /// the [`SliceFlight::Leader`] and must publish (or abandon, by
     /// dropping the guard); concurrent claimants of the same key become
-    /// [`SliceFlight::Waiter`]s. Returns [`SliceFlight::Solo`] when the
-    /// registry is disabled.
+    /// [`SliceFlight::Waiter`]s.
     pub(crate) fn claim_flight(&self, key: &str) -> SliceFlight<'_> {
-        if !self.single_flight.enabled.load(Ordering::Relaxed) {
-            return SliceFlight::Solo;
-        }
         let mut flights = self
             .single_flight
             .flights
@@ -441,18 +425,13 @@ impl SolverCache {
         Some((e.result.clone(), e.domain.clone()))
     }
 
-    /// A point-in-time view of the single-flight counters, or `None`
-    /// when the registry is disabled (so reports can distinguish
-    /// "nothing deduped" from "dedup was off").
-    pub fn single_flight_snapshot(&self) -> Option<SingleFlightStats> {
-        self.single_flight
-            .enabled
-            .load(Ordering::Relaxed)
-            .then(|| SingleFlightStats {
-                claims: self.single_flight.claims.load(Ordering::Relaxed),
-                slices_deduped: self.single_flight.deduped.load(Ordering::Relaxed),
-                single_flight_waits: self.single_flight.waits.load(Ordering::Relaxed),
-            })
+    /// A point-in-time view of the single-flight counters.
+    pub fn single_flight_snapshot(&self) -> SingleFlightStats {
+        SingleFlightStats {
+            claims: self.single_flight.claims.load(Ordering::Relaxed),
+            slices_deduped: self.single_flight.deduped.load(Ordering::Relaxed),
+            single_flight_waits: self.single_flight.waits.load(Ordering::Relaxed),
+        }
     }
 
     /// Looks a whole-query canonical key up, counting a hit or a miss
@@ -525,19 +504,6 @@ impl SolverCache {
         self.warm_probes_left
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
             .is_ok()
-    }
-
-    /// Returns an unused warm-validation probe. Called when a lookup
-    /// received [`CacheAnswer::Probation`] but the promised re-solve
-    /// never happened — the parallel sliced path cancels slices past
-    /// the first UNSAT position before solving them. The entry is still
-    /// marked warm (no [`SolverCache::confirm_warm`] ran), so a later
-    /// hit will probe again; without the refund the probe budget and
-    /// the `warm_validations` counter would claim a validation that
-    /// never executed.
-    pub(crate) fn refund_warm_probe(&self) {
-        self.warm_probes_left.fetch_add(1, Ordering::Relaxed);
-        self.warm_validations.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Reports the outcome of a [`CacheAnswer::Probation`] re-solve: on
@@ -1089,38 +1055,6 @@ mod tests {
         assert_eq!(s.warm_mismatches, 0);
     }
 
-    /// A refunded probation probe re-arms sampling: the entry stays
-    /// warm, the validation counter no longer claims a re-solve that
-    /// never ran, and the next hit probes again.
-    #[test]
-    fn refunded_probe_is_sampled_again() {
-        use crate::warm::WarmRecord;
-        let cache = SolverCache::new(1);
-        let records = (0..4)
-            .map(|i| WarmRecord {
-                key: format!("w{i}"),
-                result: SatResult::Unsat,
-                domain: None,
-                hits: 0,
-            })
-            .collect();
-        assert_eq!(cache.absorb_warm(records), 4); // sample = ceil(4/4) = 1
-        let CacheAnswer::Probation(_) = cache.lookup_slice("w0") else {
-            panic!("first warm lookup must probe");
-        };
-        assert_eq!(cache.snapshot().warm_validations, 1);
-        // The slice was cancelled before solving: probe given back.
-        cache.refund_warm_probe();
-        assert_eq!(cache.snapshot().warm_validations, 0);
-        // Still warm, still probed on the next hit.
-        let CacheAnswer::Probation(expected) = cache.lookup_slice("w0") else {
-            panic!("refunded probe must be re-armed");
-        };
-        cache.confirm_warm("w0", &expected, &SatResult::Unsat, None);
-        assert_eq!(cache.snapshot().warm_validations, 1);
-        assert!(matches!(cache.lookup_slice("w0"), CacheAnswer::Hit(_)));
-    }
-
     /// Domain boxes attach to entries, survive export/absorb, and are
     /// readable through `domain_of`.
     #[test]
@@ -1144,7 +1078,6 @@ mod tests {
         match cache.claim_flight(key) {
             SliceFlight::Leader(g) => g,
             SliceFlight::Waiter(_) => panic!("expected leadership of {key}"),
-            SliceFlight::Solo => panic!("single-flight unexpectedly disabled"),
             SliceFlight::Landed(_) => panic!("{key} is already cached"),
         }
     }
@@ -1174,7 +1107,7 @@ mod tests {
         let got = waiter.join().unwrap().expect("published, not abandoned");
         assert_eq!(got.0, SatResult::Unsat);
         assert_eq!(got.1.as_deref(), Some(boxed.as_slice()));
-        let s = cache.single_flight_snapshot().expect("enabled by default");
+        let s = cache.single_flight_snapshot();
         assert_eq!(
             (s.claims, s.single_flight_waits, s.slices_deduped),
             (1, 1, 1)
@@ -1183,9 +1116,8 @@ mod tests {
         drop(lead(&cache, "sf-key"));
     }
 
-    /// A leader that stops without publishing — the UNSAT-cancellation
-    /// path — wakes its waiters to solve for themselves rather than
-    /// deadlocking them.
+    /// A leader that stops without publishing wakes its waiters to
+    /// solve for themselves rather than deadlocking them.
     #[test]
     fn abandoned_flight_wakes_waiters_with_none() {
         let cache = Arc::new(SolverCache::new(2));
@@ -1202,9 +1134,9 @@ mod tests {
             })
         };
         rx.recv().unwrap();
-        drop(guard); // cancelled before solving: abandon, don't publish
+        drop(guard); // stopped before solving: abandon, don't publish
         assert_eq!(waiter.join().unwrap(), None, "waiter must solve itself");
-        let s = cache.single_flight_snapshot().unwrap();
+        let s = cache.single_flight_snapshot();
         assert_eq!((s.single_flight_waits, s.slices_deduped), (1, 0));
         // Abandonment retires the key: the waiter's own solve can lead.
         drop(lead(&cache, "cancelled"));
@@ -1268,19 +1200,6 @@ mod tests {
             "only a's leader solved"
         );
         assert_eq!(cache.late_hit("absent"), None);
-    }
-
-    /// Disabling the registry short-circuits every claim to `Solo` and
-    /// hides the snapshot (so summaries render "n/a", not zeros).
-    #[test]
-    fn disabled_single_flight_is_solo_and_unreported() {
-        let cache = SolverCache::new(2);
-        cache.set_single_flight(false);
-        assert!(matches!(cache.claim_flight("k"), SliceFlight::Solo));
-        assert_eq!(cache.single_flight_snapshot(), None);
-        cache.set_single_flight(true);
-        drop(lead(&cache, "k"));
-        assert_eq!(cache.single_flight_snapshot().unwrap().claims, 1);
     }
 
     /// An all-hot shard still respects the entry bound (full flush

@@ -15,9 +15,8 @@
 //! * [`mod@slice`] / [`ScopedSolver`] — constraint slicing by variable
 //!   connectivity with per-slice memoization in a shared [`SolverCache`],
 //!   an incremental push/pop front end for explorers that extend one
-//!   path condition a constraint at a time, and parallel slice solving
-//!   ([`Solver::check_sliced_parallel`] / [`SliceExecutor`]) that
-//!   dispatches cold slices onto borrowed idle workers;
+//!   path condition a constraint at a time, and single-flight dedup of
+//!   a cold slice that concurrent solvers miss at the same time;
 //! * [`mod@warm`] — cross-run persistence of the solver cache (the
 //!   "warm store"): a versioned, checksummed on-disk format with an
 //!   eviction-aware export policy ([`WarmPolicy`]), a program
@@ -69,9 +68,7 @@ pub use domain::{Interval, VarId, VarInfo, VarTable};
 pub use expr::{EvalError, Expr, Node};
 pub use model::Model;
 pub use op::{BinOp, CmpOp};
-pub use slice::{
-    partition_slices, ParallelSlices, ScopedSolver, ScopedStats, SliceExecutor, SliceJob,
-};
+pub use slice::{partition_slices, ScopedSolver, ScopedStats};
 pub use solver::{SatResult, Solver, SolverConfig, SolverStats};
 pub use store::{StoreBudget, StoreEntry, StoreManager};
 pub use warm::{

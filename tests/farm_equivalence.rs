@@ -7,9 +7,14 @@
 //! *when* work happens, never what is computed. Classification is a pure
 //! function of (case, cluster, config), and the solver cache key captures
 //! the entire solver call, so full structural equality of verdicts (class,
-//! detail, k, states_differ, and work counters) must hold.
+//! detail, k, states_differ, and work counters) must hold. Two workers
+//! that miss the cache on the same cold slice at once share one solve
+//! (single-flight), so even the solve count does not depend on timing.
+
+use std::sync::{Arc, Barrier};
 
 use portend_repro::portend::{FarmKnobs, PipelineResult, PortendConfig};
+use portend_repro::portend_symex::{CmpOp, Expr, SatResult, Solver, SolverCache, VarTable};
 use portend_repro::portend_workloads::{all, by_name};
 
 /// Asserts full per-cluster equality of two pipeline results.
@@ -53,17 +58,19 @@ fn run_parallel_matches_serial_across_the_corpus() {
 #[test]
 fn any_worker_count_agrees_with_serial() {
     let cfg = PortendConfig::default();
-    let w = by_name("ctrace").expect("workload exists");
-    let serial = w.analyze(cfg.clone());
-    for workers in [1, 2, 3, 8] {
-        let parallel = w.analyze_parallel(cfg.clone(), workers);
-        assert_equivalent("ctrace", &serial, &parallel);
+    for name in ["ctrace", "bbuf"] {
+        let w = by_name(name).expect("workload exists");
+        let serial = w.analyze(cfg.clone());
+        for workers in [1, 2, 3, 8] {
+            let parallel = w.analyze_parallel(cfg.clone(), workers);
+            assert_equivalent(&format!("{name} w={workers}"), &serial, &parallel);
+        }
     }
 }
 
 /// Every farm knob combination preserves verdicts: cache off, priority
-/// off, both off, and a tiny soft time budget (which may only *count*
-/// overruns, never alter results).
+/// off, both off, a tiny soft time budget (which may only *count*
+/// overruns, never alter results), and a single cache shard.
 #[test]
 fn farm_knobs_do_not_change_verdicts() {
     let w = by_name("bbuf").expect("workload exists");
@@ -88,37 +95,6 @@ fn farm_knobs_do_not_change_verdicts() {
         },
         FarmKnobs {
             cache_shards: 1,
-            ..Default::default()
-        },
-        FarmKnobs {
-            parallel_slices: false,
-            ..Default::default()
-        },
-        FarmKnobs {
-            // An aggressive cold-slice threshold dispatches as eagerly
-            // as the floor allows; still verdict-invariant.
-            parallel_min_cold_slices: 2,
-            solver_cache: false,
-            ..Default::default()
-        },
-        FarmKnobs {
-            single_flight: false,
-            ..Default::default()
-        },
-        FarmKnobs {
-            batch_dispatch: false,
-            ..Default::default()
-        },
-        FarmKnobs {
-            adaptive_dispatch: false,
-            ..Default::default()
-        },
-        FarmKnobs {
-            // All three scheduling features off together: the plain
-            // PR-5 dispatch path, still byte-identical.
-            single_flight: false,
-            batch_dispatch: false,
-            adaptive_dispatch: false,
             ..Default::default()
         },
     ];
@@ -165,4 +141,103 @@ fn farm_stats_are_coherent() {
         "slice-level keys must hit across the Mp x Ma combinations: {cache:?}"
     );
     assert!(cache.key_bytes > 0, "lookups render keys: {cache:?}");
+}
+
+/// The single-flight counters surface through `FarmStats` exactly when
+/// the shared cache exists.
+#[test]
+fn farm_stats_surface_single_flight_section() {
+    let w = by_name("ctrace").expect("workload exists");
+    let (_, on) = w.analyze_parallel_with_stats(PortendConfig::default(), 4);
+    let sf = on.single_flight.expect("cache on by default");
+    assert!(sf.claims > 0, "cold slices claim flights: {sf:?}");
+
+    let no_cache = PortendConfig {
+        farm: FarmKnobs {
+            solver_cache: false,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let (_, off) = w.analyze_parallel_with_stats(no_cache, 4);
+    assert!(
+        off.single_flight.is_none(),
+        "no cache, no single-flight section: {off:?}"
+    );
+}
+
+/// Single-flight dedup: when two threads miss the shared cache on the
+/// *same* cold slice concurrently, the second must block on the first's
+/// publication instead of re-solving — and both must receive the
+/// identical answer. The follower thread enters each round only after
+/// observing (via the claims counter) that the leader already holds the
+/// slice's flight, so the two requests genuinely overlap; the slice is
+/// expensive enough (a forward-only nonlinear root search over a wide
+/// domain) that the leader is still solving when the follower arrives.
+///
+/// Whatever the timing, each of the N rendezvoused duplicate rounds is
+/// solved exactly once: the follower's answer is a dedup, or a cache
+/// hit when the leader finished first.
+#[test]
+fn concurrent_identical_cold_slices_are_deduplicated() {
+    const ROUNDS: i64 = 8;
+    let cache = Arc::new(SolverCache::new(4));
+    let barrier = Arc::new(Barrier::new(2));
+    let mut handles = Vec::new();
+    for follower in [false, true] {
+        let cache = Arc::clone(&cache);
+        let barrier = Arc::clone(&barrier);
+        handles.push(std::thread::spawn(move || {
+            let solver = Solver::new().cached(Arc::clone(&cache));
+            let mut solves = 0u64;
+            let mut verdicts = Vec::new();
+            for round in 0..ROUNDS {
+                // A fresh key every round: x*x == root^2 with a large
+                // root, so every round is a cold, multi-millisecond
+                // solve for whoever leads it.
+                let root = 150_000 + round;
+                let mut vars = VarTable::new();
+                let x = Expr::var(vars.fresh("x", 0, root + 50_000));
+                let cs = vec![x.clone().mul(x).cmp(CmpOp::Eq, Expr::konst(root * root))];
+                let claims_before = cache.single_flight_snapshot().claims;
+                barrier.wait();
+                if follower {
+                    while cache.single_flight_snapshot().claims == claims_before {
+                        std::thread::yield_now();
+                    }
+                }
+                let (r, stats) = solver.check_sliced_with_stats(&cs, &vars);
+                // A deduplicated (or cache-hit) answer costs zero
+                // search nodes; a real solve always visits some.
+                solves += (stats.nodes > 0) as u64;
+                verdicts.push(r);
+            }
+            (solves, verdicts)
+        }));
+    }
+    let (solves_a, a) = handles.pop().unwrap().join().unwrap();
+    let (solves_b, b) = handles.pop().unwrap().join().unwrap();
+    assert_eq!(a, b, "deduplicated answers must be identical");
+    assert!(
+        a.iter().all(|r| matches!(r, SatResult::Sat(_))),
+        "every round has a satisfying root: {a:?}"
+    );
+    let n = ROUNDS as u64;
+    assert_eq!(solves_a + solves_b, n, "one solve per duplicate round");
+    let c = cache.snapshot();
+    assert_eq!(
+        (c.slice_misses, c.slice_hits),
+        (n, n),
+        "the follower of every round is counted as a hit: {c:?}"
+    );
+    let sf = cache.single_flight_snapshot();
+    assert_eq!(sf.claims, n, "each round claims exactly one flight: {sf:?}");
+    assert!(
+        (1..=n).contains(&sf.slices_deduped),
+        "overlapping rounds must dedup, not re-solve: {sf:?}"
+    );
+    assert!(
+        sf.single_flight_waits >= sf.slices_deduped,
+        "every dedup passed through a wait: {sf:?}"
+    );
 }
