@@ -1,8 +1,9 @@
-//! Farm benchmark: wall-clock speedup of parallel race classification
-//! (`Pipeline::run_parallel`) over the serial path on the workloads
-//! corpus, plus the corpus-level fan-out (one farm job per workload).
+//! Farm benchmark: wall-clock speedup of race classification at 4 farm
+//! workers (`Pipeline::run`) over its baseline, the same pipeline on
+//! one farm worker, on the workloads corpus, plus the corpus-level
+//! fan-out (one farm job per workload).
 //!
-//! Prints, per workload: serial and parallel wall time, wall-clock
+//! Prints, per workload: 1-worker and 4-worker wall time, wall-clock
 //! speedup, *critical-path* speedup, solver cache hit rates (whole-query
 //! and slice-level), and worker utilization — the headline numbers for
 //! the farm's ">1.5× at 4 workers with a nonzero cache hit rate" target.
@@ -56,6 +57,7 @@ fn main() {
     for name in CORPUS {
         let w = by_name(name).expect("workload exists");
 
+        // The baseline: `analyze` is the one-worker farm.
         let serial_result = w.analyze(cfg.clone());
         let serial = time_min(SAMPLES, || {
             let r = w.analyze(cfg.clone());
@@ -66,7 +68,7 @@ fn main() {
         assert_eq!(
             classes(&serial_result),
             classes(&parallel_result),
-            "{name}: parallel verdicts must equal serial verdicts"
+            "{name}: {WORKERS}-worker verdicts must equal 1-worker verdicts"
         );
         let parallel = time_min(SAMPLES, || {
             let r = w.analyze_parallel(cfg.clone(), WORKERS);
@@ -136,8 +138,8 @@ fn main() {
             &[
                 "Program",
                 "Races",
-                "Serial",
-                "Parallel",
+                "1 worker",
+                "4 workers",
                 "Wall speedup",
                 "Crit-path speedup",
                 "Cache hit",

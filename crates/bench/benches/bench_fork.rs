@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use portend::{Pipeline, PortendConfig};
+use portend::{Pipeline, PortendConfig, WarmSource};
 use portend_bench::crit::{black_box, Criterion};
 use portend_bench::{criterion_group, criterion_main, render_table};
 use portend_vm::{
@@ -191,13 +191,18 @@ fn report_classification_forks() {
         },
         portend: PortendConfig::default(),
     };
-    let result = pipeline.run(
-        &program,
-        vec![3, 1],
-        input_spec,
-        vec![],
-        VmConfig::default(),
-    );
+    let result = pipeline
+        .run(
+            &program,
+            vec![3, 1],
+            input_spec,
+            vec![],
+            VmConfig::default(),
+            1,
+            &WarmSource::default(),
+            &mut |_, _, _| {},
+        )
+        .0;
     let (mut copied, mut shared, mut reused) = (0u64, 0u64, 0u64);
     for a in &result.analyzed {
         if let Ok(v) = &a.verdict {

@@ -6,12 +6,27 @@
 //! comparison of the persistent cross-run cache (the warm store) on
 //! both the synthetic corpus and a real classification run (ctrace).
 
+use std::path::Path;
 use std::sync::Arc;
 
-use portend::PortendConfig;
+use portend::{PortendConfig, WarmSource};
 use portend_bench::crit::Criterion;
 use portend_bench::{criterion_group, criterion_main, render_table};
-use portend_symex::{CmpOp, Expr, SatResult, Solver, SolverCache, VarTable, WarmPolicy};
+use portend_symex::{
+    CmpOp, Expr, SatResult, Solver, SolverCache, StoreManager, VarTable, WarmPolicy,
+};
+
+/// The fingerprint the synthetic corpora's warm stores are keyed to.
+const CORPUS_FINGERPRINT: u64 = 0xC0B0_5EED;
+
+/// A default-shaped cache warmed from the corpus store at `path`.
+fn load_corpus_store(path: &Path) -> SolverCache {
+    let cache = SolverCache::default();
+    cache
+        .warm_from_keyed(path, CORPUS_FINGERPRINT)
+        .expect("load warm store");
+    cache
+}
 
 fn bench_solver(c: &mut Criterion) {
     // Path-condition feasibility: linear constraints (pruning-friendly).
@@ -179,10 +194,10 @@ fn report_warm_start() {
         .map(|cs| cold.check_sliced(cs, &vars))
         .collect();
     cold_cache
-        .save_to(&path, &WarmPolicy::default())
+        .save_keyed(&path, CORPUS_FINGERPRINT, &WarmPolicy::default())
         .expect("persist warm store");
 
-    let warm_cache = Arc::new(SolverCache::load_from(&path).expect("load warm store"));
+    let warm_cache = Arc::new(load_corpus_store(&path));
     let warm = Solver::new().cached(Arc::clone(&warm_cache));
     for (cs, expected) in queries.iter().zip(&cold_answers) {
         assert_eq!(
@@ -225,25 +240,37 @@ fn report_warm_start() {
     std::fs::remove_file(&path).ok();
 }
 
-/// The CI smoke for the real pipeline: two `analyze_parallel` runs of
-/// the ctrace workload sharing a warm store must classify identically
-/// while the second performs strictly fewer solver invocations.
+/// The CI smoke for the real pipeline: two 2-worker runs of the ctrace
+/// workload over one managed store directory must classify identically
+/// to a cold run while the second performs strictly fewer solver
+/// invocations.
 fn report_ctrace_warm_start() {
     let w = portend_workloads::by_name("ctrace").expect("ctrace workload");
-    let path =
-        std::env::temp_dir().join(format!("portend-bench-ctrace-{}.warm", std::process::id()));
-    std::fs::remove_file(&path).ok();
-    let mut config = PortendConfig::default();
-    config.farm.cache_path = Some(path.clone());
+    let dir =
+        std::env::temp_dir().join(format!("portend-bench-ctrace-{}.store", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let warm = WarmSource::Manager {
+        manager: Arc::new(StoreManager::new(&dir).expect("store dir")),
+        fingerprint: w.fingerprint(),
+        cache: None,
+    };
+    let run = || {
+        w.analyze_streamed(PortendConfig::default(), 2, &warm, &mut |_, _, _| {})
+            .0
+    };
 
-    let first = w.analyze_parallel(config.clone(), 2);
-    let second = w.analyze_parallel(config, 2);
+    let cold = w.analyze_parallel(PortendConfig::default(), 2);
+    let first = run();
+    let second = run();
     let solves = |r: &portend::PipelineResult| {
         let c = r.cache.expect("cache enabled by default");
         c.misses + c.slice_misses
     };
-    for (a, b) in first.analyzed.iter().zip(&second.analyzed) {
-        assert_eq!(a.verdict, b.verdict, "warm run must not change verdicts");
+    for run in [&first, &second] {
+        assert_eq!(run.analyzed.len(), cold.analyzed.len());
+        for (a, b) in run.analyzed.iter().zip(&cold.analyzed) {
+            assert_eq!(a.verdict, b.verdict, "warm run must not change verdicts");
+        }
     }
     assert!(
         solves(&second) < solves(&first),
@@ -252,6 +279,7 @@ fn report_ctrace_warm_start() {
         solves(&first)
     );
     let c2 = second.cache.expect("cache enabled");
+    assert!(c2.warmed > 0, "second run must load the store");
     assert_eq!(c2.warm_mismatches, 0);
     println!(
         "ctrace corpus warm start: {} -> {} solves ({} entries persisted, {} warm hits)\n",
@@ -260,7 +288,7 @@ fn report_ctrace_warm_start() {
         c2.warmed,
         c2.warm_hits
     );
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn bench_warm(c: &mut Criterion) {
@@ -273,7 +301,7 @@ fn bench_warm(c: &mut Criterion) {
         seed.check_sliced(cs, &vars);
     }
     seed_cache
-        .save_to(&path, &WarmPolicy::default())
+        .save_keyed(&path, CORPUS_FINGERPRINT, &WarmPolicy::default())
         .expect("persist");
     c.bench_function("solver_corpus_cold_start", |b| {
         b.iter(|| {
@@ -285,7 +313,7 @@ fn bench_warm(c: &mut Criterion) {
     });
     c.bench_function("solver_corpus_warm_start", |b| {
         b.iter(|| {
-            let cache = Arc::new(SolverCache::load_from(&path).expect("load"));
+            let cache = Arc::new(load_corpus_store(&path));
             let solver = Solver::new().cached(cache);
             for cs in &queries {
                 portend_bench::crit::black_box(solver.check_sliced(cs, &vars));

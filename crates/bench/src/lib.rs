@@ -102,12 +102,13 @@ pub fn table2() -> String {
         } else {
             base.predicates.clone()
         };
-        let w = if base.name == "memcached" {
+        let mut w = if base.name == "memcached" {
             portend_workloads::memcached_weakened()
         } else {
             base
         };
-        let result = w.analyze_with_predicates(PortendConfig::default(), predicates);
+        w.predicates = predicates;
+        let result = w.analyze(PortendConfig::default());
         let (mut deadlock, mut crash, mut semantic) = (0, 0, 0);
         for a in &result.analyzed {
             if let Ok(v) = &a.verdict {

@@ -151,7 +151,7 @@ pub fn analyze_workload(
             fingerprint: w.fingerprint(),
             cache: None,
         },
-        None => WarmSource::Knobs,
+        None => WarmSource::Fresh,
     };
 
     let mut io_err = None;

@@ -1,12 +1,11 @@
 //! Portend configuration: the Mp/Ma "dial", the analysis-stage toggles,
 //! and the parallel-classification farm knobs.
 
-use std::path::PathBuf;
 use std::time::Duration;
 
 use portend_farm::FarmConfig;
 use portend_obs::TraceConfig;
-use portend_symex::{SolverConfig, WarmPolicy};
+use portend_symex::SolverConfig;
 
 /// Which analysis techniques are enabled — the axes of the paper's Fig. 7
 /// accuracy breakdown. All stages build on single-pre/single-post
@@ -95,11 +94,12 @@ pub struct PortendConfig {
     /// Mp × Ma path/schedule combinations. Disable to force whole-query
     /// solving.
     pub slice_solver: bool,
-    /// Classification farm and shared solver-cache knobs. The worker
-    /// count, job budget and priority order shape
-    /// `Pipeline::run_parallel` only; `solver_cache`, `cache_shards`,
-    /// `cache_path` and `cache_save_policy` also configure the serial
-    /// `Pipeline::run` (through `WarmSource::Knobs`).
+    /// Classification farm and shared solver-cache knobs: the job
+    /// budget and priority order shape the farm `Pipeline::run`
+    /// classifies on; `solver_cache` and `cache_shards` say whether
+    /// [`crate::WarmSource`] builds a cache and how it is sharded. The
+    /// worker count is an argument of `Pipeline::run`, and persistent
+    /// warmth is a `StoreManager`'s job (`WarmSource::Manager`).
     pub farm: FarmKnobs,
     /// Event tracing (`portend-obs`). `None` (the default) records
     /// nothing and costs nothing — every emission site collapses to one
@@ -139,9 +139,6 @@ impl Default for PortendConfig {
 /// by construction (its key captures the entire solver call).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FarmKnobs {
-    /// Default worker count when `run_parallel` is called with `0`.
-    /// `0` here too means "one worker per available CPU".
-    pub workers: usize,
     /// Soft wall-clock budget per classification job, in milliseconds;
     /// `0` disables it. Overruns are *counted* (`FarmStats`), never
     /// killed — killing would make verdicts depend on host timing.
@@ -156,51 +153,25 @@ pub struct FarmKnobs {
     pub cache_shards: usize,
     /// Classify suspected-harmful races first (detector heuristics).
     pub priority_order: bool,
-    /// Persistent warm store for the solver cache. When set, the
-    /// pipeline loads memoized answers from this path before
-    /// classifying (a missing or damaged file is a clean cold start)
-    /// and saves the cache's hot entries back after the run, so a
-    /// second run over the same program skips the solves the first one
-    /// already paid for. Cross-run reuse is answer-preserving: keys are
-    /// self-contained, the store is versioned and checksummed, and the
-    /// first warm hits are validation-sampled against fresh solves
-    /// (`CacheSnapshot::warm_mismatches`). Ignored when `solver_cache`
-    /// is off.
-    pub cache_path: Option<PathBuf>,
-    /// Which entries [`FarmKnobs::cache_path`] persists: entries that
-    /// survived an epoch flush or were hit at least `min_hits` times,
-    /// hottest first, up to a byte budget (see
-    /// [`portend_symex::WarmPolicy`]).
-    pub cache_save_policy: WarmPolicy,
 }
 
 impl Default for FarmKnobs {
     fn default() -> Self {
         FarmKnobs {
-            workers: 0,
             job_time_budget_ms: 0,
             solver_cache: true,
             cache_shards: portend_symex::DEFAULT_SHARDS,
             priority_order: true,
-            cache_path: None,
-            cache_save_policy: WarmPolicy::default(),
         }
     }
 }
 
 impl FarmKnobs {
-    /// Enables the persistent warm store at `path` with the default
-    /// save policy (the "run it twice" configuration).
-    pub fn with_cache_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.cache_path = Some(path.into());
-        self
-    }
-
-    /// The farm configuration for one run. `workers` overrides the knob
-    /// when non-zero.
+    /// The farm configuration for one run of `workers` workers (`0` =
+    /// one per available CPU, as [`FarmConfig`] defines).
     pub fn farm_config(&self, workers: usize) -> FarmConfig {
         FarmConfig {
-            workers: if workers == 0 { self.workers } else { workers },
+            workers,
             job_time_budget: (self.job_time_budget_ms > 0)
                 .then(|| Duration::from_millis(self.job_time_budget_ms)),
             priority_order: self.priority_order,
@@ -308,15 +279,17 @@ mod tests {
     #[test]
     fn farm_knobs_translate_to_farm_config() {
         let knobs = FarmKnobs {
-            workers: 2,
             job_time_budget_ms: 250,
+            priority_order: false,
             ..Default::default()
         };
-        let fc = knobs.farm_config(0);
+        let fc = knobs.farm_config(2);
         assert_eq!(fc.workers, 2);
         assert_eq!(fc.job_time_budget, Some(Duration::from_millis(250)));
-        // A non-zero call-site worker count overrides the knob.
-        assert_eq!(knobs.farm_config(8).workers, 8);
+        assert!(!fc.priority_order);
+        // The call-site worker count passes through; 0 stays "one per
+        // CPU" for the farm to resolve.
+        assert_eq!(knobs.farm_config(0).workers, 0);
         // Budget 0 means unlimited.
         assert_eq!(FarmKnobs::default().farm_config(4).job_time_budget, None);
     }

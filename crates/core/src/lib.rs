@@ -18,9 +18,10 @@
 //!
 //! ## Entry points
 //!
-//! * [`Pipeline`] — detect + classify every race of a program run,
-//!   serially ([`Pipeline::run`]) or on the work-stealing classification
-//!   farm ([`Pipeline::run_parallel`], crate `portend-farm`);
+//! * [`Pipeline`] — detect + classify every race of a program run on
+//!   the work-stealing classification farm ([`Pipeline::run`], crate
+//!   `portend-farm`; one worker is the serial pipeline), with the
+//!   solver cache's warm lifecycle chosen by a [`WarmSource`];
 //! * [`Portend`] — classify a single race from a recorded trace;
 //! * [`baselines`] — the Record/Replay-Analyzer, Ad-Hoc-Detector, and
 //!   DataCollider-style comparators of the paper's §5.4;

@@ -1,7 +1,7 @@
 //! The end-to-end pipeline: run the program under the race detector,
-//! cluster the reports, classify every cluster (paper Fig. 2) — serially
-//! ([`Pipeline::run`]) or on the work-stealing classification farm
-//! ([`Pipeline::run_parallel`]).
+//! cluster the reports, classify every cluster (paper Fig. 2) on the
+//! work-stealing classification farm ([`Pipeline::run`]; one worker is
+//! the serial pipeline).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -33,17 +33,16 @@ fn finish_trace(
     cfg: &TraceConfig,
     recorder: &Recorder,
     result: &mut PipelineResult,
-    farm: Option<&FarmStats>,
+    farm: &FarmStats,
 ) {
     let trace = recorder.finish();
     if let Some(path) = &cfg.chrome_path {
         let _ = trace.write_chrome(path);
     }
     if let Some(path) = &cfg.report_path {
-        let mut report = RunReport::from_result(cfg.label.clone(), result).with_trace(&trace);
-        if let Some(stats) = farm {
-            report = report.with_farm(stats.clone());
-        }
+        let report = RunReport::from_result(cfg.label.clone(), result)
+            .with_trace(&trace)
+            .with_farm(farm.clone());
         let _ = report.write_to(path);
     }
     result.trace = Some(trace);
@@ -53,7 +52,7 @@ fn finish_trace(
 /// its candidate set onto the run's clusters: a scheduling hint per
 /// cluster plus the pass's counters (including how many clusters the
 /// candidate set corroborates). Purely advisory — hints only reorder
-/// the farm queue, and the serial path ignores them entirely.
+/// the farm queue.
 fn static_phase(
     program: &Program,
     clusters: &[RaceCluster],
@@ -121,9 +120,8 @@ pub struct PipelineResult {
     /// symbolic inputs, predicates).
     pub case: AnalysisCase,
     /// Solver-cache counters for the run (whole-query and slice-level
-    /// hits/misses), when `FarmKnobs::solver_cache` enabled one. Both
-    /// the serial and the parallel path share one cache across all of
-    /// the run's classifications.
+    /// hits/misses), when the run had one (see [`WarmSource`]). One
+    /// cache is shared across all of the run's classifications.
     pub cache: Option<CacheSnapshot>,
     /// The run's merged event trace, when
     /// [`PortendConfig::trace`](crate::PortendConfig::trace) enabled
@@ -131,8 +129,7 @@ pub struct PipelineResult {
     pub trace: Option<Trace>,
     /// Counters from the static lockset/MHP pre-analysis, when
     /// [`PortendConfig::static_pass`](crate::PortendConfig::static_pass)
-    /// ran it (both the serial and the parallel path). `None` when the
-    /// pass is disabled.
+    /// ran it. `None` when the pass is disabled.
     pub static_stats: Option<StaticStats>,
 }
 
@@ -146,159 +143,32 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
-    /// Runs detection + classification on a program.
+    /// Runs detection + classification on a program: record once under
+    /// the race detector, then classify every detected race cluster on
+    /// the [`portend_farm`] work-stealing pool, sharing one solver cache
+    /// across all jobs.
     ///
     /// `inputs` is the concrete input log, `input_spec` declares the
     /// symbolic positions for multi-path analysis, and `predicates` are
-    /// the semantic properties to watch.
+    /// the semantic properties to watch. `workers` is the pool width
+    /// (`0` = one per CPU); one worker is the serial pipeline. Verdicts
+    /// do not depend on it: classification is a pure function of (case,
+    /// cluster, config) and the cache is answer-preserving, so only
+    /// `time` fields and wall-clock totals differ. `warm` says where the
+    /// solver cache comes from and where its warm entries go after the
+    /// run ([`WarmSource::default`] is a fresh cache and no store I/O).
     ///
-    /// With [`crate::FarmKnobs::cache_path`] set, the solver cache is
-    /// warmed from the persistent store before classification and its
-    /// hot entries are saved back afterwards, so a repeat run of the
-    /// same program performs strictly fewer solves
-    /// (`PipelineResult::cache` reports `warm_hits`). Verdicts are
-    /// unaffected either way.
-    pub fn run(
-        &self,
-        program: &Arc<Program>,
-        inputs: Vec<i64>,
-        input_spec: InputSpec,
-        predicates: Vec<Predicate>,
-        vm: VmConfig,
-    ) -> PipelineResult {
-        self.run_with_warm(
-            program,
-            inputs,
-            input_spec,
-            predicates,
-            vm,
-            &WarmSource::Knobs,
-        )
-    }
-
-    /// [`Pipeline::run`] with an explicit [`WarmSource`] governing where
-    /// the solver cache is warmed from and persisted to. `run` itself is
-    /// this with [`WarmSource::Knobs`] — the knob path is one lifecycle
-    /// among equals, not a special case.
-    pub fn run_with_warm(
-        &self,
-        program: &Arc<Program>,
-        inputs: Vec<i64>,
-        input_spec: InputSpec,
-        predicates: Vec<Predicate>,
-        vm: VmConfig,
-        warm: &WarmSource,
-    ) -> PipelineResult {
-        let recorder = self.portend.trace.as_ref().map(|_| Recorder::new());
-        let main_lane = recorder.as_ref().map(|r| r.attach("main", 0));
-        let (run, record_time, case) = {
-            let _ev = portend_obs::span_named(EventKind::Phase, "record");
-            self.record_phase(program, inputs, input_spec, predicates, vm)
-        };
-        // The serial path has no queue to reorder, so only the pass's
-        // counters (and its trace events) are kept.
-        let static_stats = self
-            .portend
-            .static_pass
-            .then(|| static_phase(program, &run.clusters, &self.record.detector).1);
-        let knobs = &self.portend.farm;
-        let cache = warm.acquire(knobs);
-        let portend = match &cache {
-            Some(c) => Portend::with_cache(self.portend.clone(), Arc::clone(c)),
-            None => Portend::new(self.portend.clone()),
-        };
-        let mut analyzed = Vec::with_capacity(run.clusters.len());
-        {
-            let _ev = portend_obs::span_named(EventKind::Phase, "classify");
-            for cluster in &run.clusters {
-                let t = Instant::now();
-                let verdict = portend.classify(&case, &cluster.representative);
-                analyzed.push(AnalyzedRace {
-                    cluster: cluster.clone(),
-                    verdict,
-                    time: t.elapsed(),
-                });
-            }
-        }
-        warm.release(knobs, cache.as_ref());
-        let mut result = PipelineResult {
-            record: run,
-            analyzed,
-            record_time,
-            case,
-            cache: cache.map(|c| c.snapshot()),
-            trace: None,
-            static_stats,
-        };
-        drop(main_lane); // flush the main lane before the merge
-        if let (Some(cfg), Some(recorder)) = (&self.portend.trace, &recorder) {
-            finish_trace(cfg, recorder, &mut result, None);
-        }
-        result
-    }
-
-    /// Like [`Pipeline::run`], but classifies all detected race clusters
-    /// concurrently on the [`portend_farm`] work-stealing pool, sharing
-    /// one sharded solver-query cache across all jobs.
-    ///
-    /// `workers` is the pool width; `0` defers to the
-    /// [`crate::config::FarmKnobs`] in the configuration (whose own `0`
-    /// means one worker per CPU). Verdicts are identical to the serial
-    /// path: classification is a pure function of (case, cluster, config)
-    /// and the cache is answer-preserving. Only `time` fields and
-    /// wall-clock totals differ.
-    pub fn run_parallel(
-        &self,
-        program: &Arc<Program>,
-        inputs: Vec<i64>,
-        input_spec: InputSpec,
-        predicates: Vec<Predicate>,
-        vm: VmConfig,
-        workers: usize,
-    ) -> PipelineResult {
-        self.run_parallel_with_stats(program, inputs, input_spec, predicates, vm, workers)
-            .0
-    }
-
-    /// [`Pipeline::run_parallel`], additionally reporting the farm's
-    /// aggregate statistics (per-worker utilization, steal counts, solver
-    /// cache hit rate).
-    pub fn run_parallel_with_stats(
-        &self,
-        program: &Arc<Program>,
-        inputs: Vec<i64>,
-        input_spec: InputSpec,
-        predicates: Vec<Predicate>,
-        vm: VmConfig,
-        workers: usize,
-    ) -> (PipelineResult, FarmStats) {
-        self.run_parallel_streamed(
-            program,
-            inputs,
-            input_spec,
-            predicates,
-            vm,
-            workers,
-            &WarmSource::Knobs,
-            &mut |_, _, _| {},
-        )
-    }
-
-    /// The full-control parallel entry point: an explicit [`WarmSource`]
-    /// plus a streaming `sink` invoked once per classified cluster *in
-    /// completion order*, the moment the farm yields it —
-    /// suspected-harmful races therefore reach the sink first, long
-    /// before the run's tail finishes. `sink(seq, index, race)` gets the
-    /// 0-based completion sequence, the cluster's detection-order index
-    /// (its position in the final `PipelineResult::analyzed`), and the
-    /// classified race.
-    ///
-    /// The returned result is byte-identical to
-    /// [`Pipeline::run_parallel_with_stats`] (which is this with a no-op
-    /// sink): streaming only observes outputs that were already flowing,
-    /// and `analyzed` is restored to detection order either way.
+    /// `sink(seq, index, race)` is invoked once per classified cluster
+    /// *in completion order*, the moment the farm yields it —
+    /// suspected-harmful races therefore reach it first, long before
+    /// the run's tail finishes. It gets the 0-based completion sequence,
+    /// the cluster's detection-order index (its position in the final
+    /// `PipelineResult::analyzed`), and the classified race. Streaming
+    /// only observes outputs that were already flowing: the result is
+    /// the same with a no-op sink, and `analyzed` is in detection order
+    /// either way.
     #[allow(clippy::too_many_arguments)]
-    pub fn run_parallel_streamed(
+    pub fn run(
         &self,
         program: &Arc<Program>,
         inputs: Vec<i64>,
@@ -393,7 +263,7 @@ impl Pipeline {
             }
         }
         stats.static_pass = static_stats;
-        warm.release(knobs, cache.as_ref());
+        warm.release(cache.as_ref());
         let case = Arc::try_unwrap(case).unwrap_or_else(|arc| arc.as_ref().clone());
         let mut result = PipelineResult {
             record: run,
@@ -406,16 +276,13 @@ impl Pipeline {
         };
         drop(main_lane); // flush the main lane before the merge
         if let (Some(cfg), Some(recorder)) = (&self.portend.trace, &recorder) {
-            finish_trace(cfg, recorder, &mut result, Some(&stats));
+            finish_trace(cfg, recorder, &mut result, &stats);
         }
         (result, stats)
     }
 
-    /// The shared prologue of [`Pipeline::run`] and
-    /// [`Pipeline::run_parallel`]: record once under the detector and
-    /// assemble the analysis case. Keeping this in one place is part of
-    /// the serial/parallel verdict-equivalence contract — both paths
-    /// classify against byte-identical inputs.
+    /// Records once under the detector and assembles the analysis case
+    /// every classification job runs against.
     fn record_phase(
         &self,
         program: &Arc<Program>,

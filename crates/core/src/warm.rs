@@ -1,18 +1,15 @@
 //! Where a pipeline run's solver cache comes from — and where its warm
 //! capital goes when the run finishes.
 //!
-//! Before this seam existed, `FarmKnobs::cache_path` was a special case
-//! wired directly into `Pipeline::run*`: the only way to warm-start was
-//! a hand-pointed store file. [`WarmSource`] turns that into one of
-//! four interchangeable lifecycles, so the knob path, an explicit path,
-//! a caller-owned cache (the resident daemon's per-program cache), and
-//! a managed [`StoreManager`] directory all flow through the same two
-//! calls — [`WarmSource::acquire`] before classification and
-//! [`WarmSource::release`] after — on both the serial and the parallel
-//! path. Verdicts never depend on the variant: the cache is
-//! answer-preserving, and every store failure is a clean cold start.
+//! [`WarmSource`] names three interchangeable lifecycles — a fresh
+//! cache with no store I/O, a caller-owned cache (the resident daemon's
+//! per-program cache), and a managed [`StoreManager`] directory keyed
+//! by program fingerprint (`--store-dir`) — that all flow through the
+//! same two calls: [`WarmSource::acquire`] before classification and
+//! [`WarmSource::release`] after. Verdicts never depend on the variant:
+//! the cache is answer-preserving, and every store failure is a clean
+//! cold start.
 
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use portend_symex::{SolverCache, StoreManager};
@@ -23,16 +20,10 @@ use crate::config::FarmKnobs;
 /// is built/warmed before classification and persisted after.
 #[derive(Debug, Clone, Default)]
 pub enum WarmSource {
-    /// Derive everything from the run's [`FarmKnobs`]: build a cache
-    /// when `solver_cache` is on and warm/save via `cache_path` when
-    /// set. The pre-seam behavior, and the default — `Pipeline::run`
-    /// and `run_parallel*` without an explicit source use this.
+    /// A new cache when `FarmKnobs::solver_cache` is on (sharded per
+    /// `FarmKnobs::cache_shards`), and no store I/O in either direction.
     #[default]
-    Knobs,
-    /// Warm from and save to this store path (unkeyed), regardless of
-    /// `FarmKnobs::cache_path`. Still gated on `FarmKnobs::solver_cache`
-    /// (no cache, nothing to warm).
-    Path(PathBuf),
+    Fresh,
     /// Use a caller-owned cache as-is: no store I/O in either
     /// direction, no reconfiguration (the owner already chose the
     /// sharding). The daemon uses this to let warm capital
@@ -41,7 +32,7 @@ pub enum WarmSource {
     /// A managed per-program store directory. `acquire` warms from the
     /// store keyed by `fingerprint` (touching its LRU recency);
     /// `release` saves back through the manager, which then enforces
-    /// the directory budget.
+    /// the directory budget and its own `WarmPolicy`.
     Manager {
         /// The store directory manager (shared across requests).
         manager: Arc<StoreManager>,
@@ -49,7 +40,8 @@ pub enum WarmSource {
         /// (`portend_vm::Program::fingerprint`).
         fingerprint: u64,
         /// A resident cache to reuse (daemon case); `None` builds a
-        /// fresh one per the knobs.
+        /// fresh one per the knobs, exactly as [`WarmSource::Fresh`]
+        /// does (none at all when `solver_cache` is off).
         cache: Option<Arc<SolverCache>>,
     },
 }
@@ -63,27 +55,20 @@ impl WarmSource {
     /// `warm_rejected_fingerprint` counter so the rejection is never
     /// silent.
     pub(crate) fn acquire(&self, knobs: &FarmKnobs) -> Option<Arc<SolverCache>> {
-        let fresh = || Arc::new(SolverCache::new(knobs.cache_shards));
+        let fresh = || {
+            knobs
+                .solver_cache
+                .then(|| Arc::new(SolverCache::new(knobs.cache_shards)))
+        };
         match self {
-            WarmSource::Knobs => {
-                let cache = knobs.solver_cache.then(fresh)?;
-                if let Some(path) = &knobs.cache_path {
-                    let _ = cache.warm_from(path);
-                }
-                Some(cache)
-            }
-            WarmSource::Path(path) => {
-                let cache = knobs.solver_cache.then(fresh)?;
-                let _ = cache.warm_from(path);
-                Some(cache)
-            }
+            WarmSource::Fresh => fresh(),
             WarmSource::Borrowed(cache) => Some(Arc::clone(cache)),
             WarmSource::Manager {
                 manager,
                 fingerprint,
                 cache,
             } => {
-                let cache = cache.clone().unwrap_or_else(fresh);
+                let cache = cache.clone().or_else(fresh)?;
                 let _ = manager.load_into(*fingerprint, &cache);
                 Some(cache)
             }
@@ -93,25 +78,49 @@ impl WarmSource {
     /// Persists the run's cache back through this source. Failures
     /// (full disk, unwritable path) are deliberately swallowed: the
     /// store is an optimization, the verdicts are already computed.
-    pub(crate) fn release(&self, knobs: &FarmKnobs, cache: Option<&Arc<SolverCache>>) {
-        let Some(cache) = cache else { return };
-        match self {
-            WarmSource::Knobs => {
-                if let Some(path) = &knobs.cache_path {
-                    let _ = cache.save_to(path, &knobs.cache_save_policy);
-                }
-            }
-            WarmSource::Path(path) => {
-                let _ = cache.save_to(path, &knobs.cache_save_policy);
-            }
-            WarmSource::Borrowed(_) => {}
+    pub(crate) fn release(&self, cache: Option<&Arc<SolverCache>>) {
+        if let (
             WarmSource::Manager {
                 manager,
                 fingerprint,
                 ..
-            } => {
-                let _ = manager.save_from(*fingerprint, cache);
-            }
+            },
+            Some(cache),
+        ) = (self, cache)
+        {
+            let _ = manager.save_from(*fingerprint, cache);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn solver_cache_off_builds_no_cache_but_borrowed_keeps_its_own() {
+        let knobs = FarmKnobs {
+            solver_cache: false,
+            ..Default::default()
+        };
+        let dir = std::env::temp_dir().join(format!("portend-warmsource-{}", std::process::id()));
+        let manager = Arc::new(StoreManager::new(&dir).expect("store dir"));
+        let managed = WarmSource::Manager {
+            manager,
+            fingerprint: 0x5eed,
+            cache: None,
+        };
+        assert!(WarmSource::Fresh.acquire(&knobs).is_none());
+        assert!(managed.acquire(&knobs).is_none());
+        let own = Arc::new(SolverCache::new(1));
+        let borrowed = WarmSource::Borrowed(Arc::clone(&own))
+            .acquire(&knobs)
+            .expect("a borrowed cache is used as-is");
+        assert!(Arc::ptr_eq(&borrowed, &own));
+        // With the cache on, both gated sources build one.
+        let on = FarmKnobs::default();
+        assert!(WarmSource::Fresh.acquire(&on).is_some());
+        assert!(managed.acquire(&on).is_some());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

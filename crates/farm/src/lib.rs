@@ -22,14 +22,15 @@
 //!   [`portend_symex::SolverCache`] is attached.
 //!
 //! The engine is generic over the job payload and result types, so the
-//! `portend` core can delegate `Pipeline::run_parallel` to it without a
+//! `portend` core can delegate `Pipeline::run`'s classification to it without a
 //! dependency cycle, and harnesses can reuse the same pool to fan out
 //! entire workload corpora (`crates/bench`'s `bench_farm` does both).
 //!
 //! Determinism: the farm only changes *when* each job runs, never what it
 //! computes. Classification is a pure function of (case, cluster, config),
-//! and the shared solver cache is answer-preserving, so parallel verdicts
-//! are identical to serial ones (see `tests/farm_equivalence.rs`).
+//! and the shared solver cache is answer-preserving, so verdicts are
+//! identical at every worker count and to an un-farmed classification
+//! loop (see `tests/farm_equivalence.rs`).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

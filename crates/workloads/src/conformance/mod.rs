@@ -15,13 +15,13 @@
 //! same way the positive idioms pin the classifier's.
 //!
 //! `tests/conformance.rs` runs every idiom through the full knob matrix
-//! ([`portend::PortendConfig::knob_grid`]) serially and on the farm,
+//! ([`portend::PortendConfig::knob_grid`]) at one farm worker and at three,
 //! asserting produced == expected for every cell and rendering the
 //! differential table ([`ConformanceTable`]) as a CI artifact.
 
 use std::sync::Arc;
 
-use portend::{Pipeline, PipelineResult, PortendConfig, RaceClass};
+use portend::{Pipeline, PipelineResult, PortendConfig, RaceClass, WarmSource};
 use portend_replay::RecordConfig;
 use portend_vm::{InputSpec, Program, Scheduler, VmConfig};
 
@@ -117,29 +117,27 @@ impl Idiom {
         v
     }
 
-    /// Runs the full detect + classify pipeline serially.
+    /// Runs the full detect + classify pipeline on one farm worker.
     pub fn analyze(&self, config: PortendConfig) -> PipelineResult {
-        self.pipeline(config).run(
-            &self.program,
-            self.inputs.clone(),
-            self.input_spec.clone(),
-            vec![],
-            self.vm,
-        )
+        self.analyze_parallel(config, 1)
     }
 
     /// Like [`Idiom::analyze`], but classifies on the `portend-farm`
     /// pool with `workers` threads. Verdicts must be byte-identical to
-    /// the serial path — that equivalence is a conformance assertion.
+    /// one worker's — that equivalence is a conformance assertion.
     pub fn analyze_parallel(&self, config: PortendConfig, workers: usize) -> PipelineResult {
-        self.pipeline(config).run_parallel(
-            &self.program,
-            self.inputs.clone(),
-            self.input_spec.clone(),
-            vec![],
-            self.vm,
-            workers,
-        )
+        self.pipeline(config)
+            .run(
+                &self.program,
+                self.inputs.clone(),
+                self.input_spec.clone(),
+                vec![],
+                self.vm,
+                workers,
+                &WarmSource::default(),
+                &mut |_, _, _| {},
+            )
+            .0
     }
 
     fn pipeline(&self, config: PortendConfig) -> Pipeline {

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use portend::{Pipeline, PipelineResult, PortendConfig, Predicate, RaceClass};
+use portend::{Pipeline, PipelineResult, PortendConfig, Predicate, RaceClass, WarmSource};
 use portend_race::RaceReport;
 use portend_replay::RecordConfig;
 use portend_vm::{InputSpec, Program, Scheduler, VmConfig};
@@ -138,45 +138,17 @@ impl Workload {
     }
 
     /// Runs the full detect + classify pipeline with the given Portend
-    /// configuration (and this workload's default predicates).
+    /// configuration (and this workload's [`Workload::predicates`]) on
+    /// one farm worker.
     pub fn analyze(&self, config: PortendConfig) -> PipelineResult {
-        self.analyze_with_predicates(config, self.predicates.clone())
-    }
-
-    /// Runs the pipeline with explicit predicates (e.g. including
-    /// [`Workload::optional_predicates`]).
-    pub fn analyze_with_predicates(
-        &self,
-        config: PortendConfig,
-        predicates: Vec<Predicate>,
-    ) -> PipelineResult {
-        self.pipeline(config).run(
-            &self.program,
-            self.inputs.clone(),
-            self.input_spec.clone(),
-            predicates,
-            self.vm,
-        )
+        self.analyze_parallel(config, 1)
     }
 
     /// Like [`Workload::analyze`], but classifies this workload's races
     /// concurrently on the `portend-farm` pool with `workers` threads
     /// (`0` = one per CPU). Verdicts are identical to [`Workload::analyze`].
-    ///
-    /// With `config.farm.cache_path` set, the run warm-starts from (and
-    /// persists back to) the on-disk solver cache, so a second call
-    /// over the same workload performs strictly fewer solver
-    /// invocations — see `PipelineResult::cache` and the workspace
-    /// `tests/warm_store.rs`.
     pub fn analyze_parallel(&self, config: PortendConfig, workers: usize) -> PipelineResult {
-        self.pipeline(config).run_parallel(
-            &self.program,
-            self.inputs.clone(),
-            self.input_spec.clone(),
-            self.predicates.clone(),
-            self.vm,
-            workers,
-        )
+        self.analyze_parallel_with_stats(config, workers).0
     }
 
     /// [`Workload::analyze_parallel`], additionally reporting farm
@@ -186,29 +158,24 @@ impl Workload {
         config: PortendConfig,
         workers: usize,
     ) -> (PipelineResult, portend::FarmStats) {
-        self.pipeline(config).run_parallel_with_stats(
-            &self.program,
-            self.inputs.clone(),
-            self.input_spec.clone(),
-            self.predicates.clone(),
-            self.vm,
-            workers,
-        )
+        self.analyze_streamed(config, workers, &WarmSource::default(), &mut |_, _, _| {})
     }
 
     /// [`Workload::analyze_parallel_with_stats`] with an explicit warm
     /// lifecycle and a per-cluster streaming sink — the front-end entry
-    /// point (see `Pipeline::run_parallel_streamed`): `sink` observes
-    /// every classified race in completion order while the result stays
-    /// byte-identical to the batch call.
+    /// point (see `Pipeline::run`): `sink` observes every classified
+    /// race in completion order while the result stays byte-identical
+    /// to the batch call. With [`WarmSource::Manager`] the run
+    /// warm-starts from (and persists back to) this workload's managed
+    /// store, keyed by [`Workload::fingerprint`].
     pub fn analyze_streamed(
         &self,
         config: PortendConfig,
         workers: usize,
-        warm: &portend::WarmSource,
+        warm: &WarmSource,
         sink: &mut dyn FnMut(u64, usize, &portend::AnalyzedRace),
     ) -> (PipelineResult, portend::FarmStats) {
-        self.pipeline(config).run_parallel_streamed(
+        self.pipeline(config).run(
             &self.program,
             self.inputs.clone(),
             self.input_spec.clone(),

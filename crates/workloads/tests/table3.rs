@@ -132,7 +132,9 @@ fn fmm_semantic_predicate_flips_timestamp_race_to_spec_violated() {
     );
 
     // With the §5.1 predicate: spec violated (semantic).
-    let result = w.analyze_with_predicates(PortendConfig::default(), w.optional_predicates.clone());
+    let mut w = w;
+    w.predicates = w.optional_predicates.clone();
+    let result = w.analyze(PortendConfig::default());
     let ts = result
         .analyzed
         .iter()

@@ -1,7 +1,8 @@
-//! Farm equivalence suite: `Pipeline::run_parallel(N)` must produce
-//! verdicts identical to the serial `Pipeline::run` — across the entire
-//! workloads corpus, for any worker count, with or without the shared
-//! solver cache and priority ordering.
+//! Farm equivalence suite: `Pipeline::run` at any worker count must
+//! produce verdicts identical to an un-farmed reference — the paper's
+//! serial loop, `Portend::classify` over the recorded clusters in
+//! detection order — across the entire workloads corpus, with or
+//! without the shared solver cache and priority ordering.
 //!
 //! This is the farm's core contract: parallelism and caching change only
 //! *when* work happens, never what is computed. Classification is a pure
@@ -13,58 +14,101 @@
 
 use std::sync::{Arc, Barrier};
 
-use portend_repro::portend::{FarmKnobs, PipelineResult, PortendConfig};
+use portend_repro::portend::{
+    ClassifyError, FarmKnobs, PipelineResult, Portend, PortendConfig, Verdict,
+};
 use portend_repro::portend_symex::{CmpOp, Expr, SatResult, Solver, SolverCache, VarTable};
-use portend_repro::portend_workloads::{all, by_name};
+use portend_repro::portend_workloads::{all, by_name, Workload};
 
-/// Asserts full per-cluster equality of two pipeline results.
-fn assert_equivalent(name: &str, serial: &PipelineResult, parallel: &PipelineResult) {
+/// The reference the farm is held to, kept independent of it: one
+/// classifier (sharing one solver cache when the knobs enable it, as a
+/// serial run would) classifies every recorded cluster of `recorded`,
+/// in detection order, on the calling thread.
+fn reference(
+    recorded: &PipelineResult,
+    cfg: &PortendConfig,
+) -> Vec<Result<Verdict, ClassifyError>> {
+    let portend = if cfg.farm.solver_cache {
+        let cache = Arc::new(SolverCache::new(cfg.farm.cache_shards));
+        Portend::with_cache(cfg.clone(), cache)
+    } else {
+        Portend::new(cfg.clone())
+    };
+    recorded
+        .record
+        .clusters
+        .iter()
+        .map(|c| portend.classify(&recorded.case, &c.representative))
+        .collect()
+}
+
+/// Asserts that `farm` analyzed `recorded`'s clusters, in detection
+/// order, with exactly the `expected` verdicts.
+fn assert_matches(
+    name: &str,
+    recorded: &PipelineResult,
+    expected: &[Result<Verdict, ClassifyError>],
+    farm: &PipelineResult,
+) {
     assert_eq!(
-        serial.analyzed.len(),
-        parallel.analyzed.len(),
+        expected.len(),
+        farm.analyzed.len(),
         "{name}: distinct race counts differ"
     );
-    for (i, (s, p)) in serial.analyzed.iter().zip(&parallel.analyzed).enumerate() {
+    for (i, ((cluster, want), got)) in recorded
+        .record
+        .clusters
+        .iter()
+        .zip(expected)
+        .zip(&farm.analyzed)
+        .enumerate()
+    {
         assert_eq!(
-            s.cluster, p.cluster,
+            cluster, &got.cluster,
             "{name}: cluster #{i} differs (detection order must be restored)"
         );
         assert_eq!(
-            s.verdict, p.verdict,
+            want, &got.verdict,
             "{name}: verdict for cluster #{i} ({}) differs",
-            s.cluster.representative
+            cluster.representative
         );
     }
 }
 
-/// The headline property over the full Table 1 corpus at 4 workers.
+/// Checks `w` on the farm at each of `workers` against the reference.
+fn check_workers(w: &Workload, cfg: &PortendConfig, workers: &[usize]) {
+    let one = w.analyze(cfg.clone());
+    assert!(
+        !one.analyzed.is_empty(),
+        "{}: corpus workload must detect races",
+        w.name
+    );
+    let expected = reference(&one, cfg);
+    assert_matches(&format!("{} w=1", w.name), &one, &expected, &one);
+    for &n in workers {
+        let farm = w.analyze_parallel(cfg.clone(), n);
+        assert_matches(&format!("{} w={n}", w.name), &one, &expected, &farm);
+    }
+}
+
+/// The headline property over the full Table 1 corpus at 1 and 4
+/// workers.
 #[test]
 fn run_parallel_matches_serial_across_the_corpus() {
     let cfg = PortendConfig::default();
     for w in all() {
-        let serial = w.analyze(cfg.clone());
-        let parallel = w.analyze_parallel(cfg.clone(), 4);
-        assert!(
-            !serial.analyzed.is_empty(),
-            "{}: corpus workload must detect races",
-            w.name
-        );
-        assert_equivalent(w.name, &serial, &parallel);
+        check_workers(&w, &cfg, &[4]);
     }
 }
 
-/// Worker count is irrelevant to the outcome (1 worker degenerates to
-/// serial-on-a-thread; odd counts exercise stealing imbalance).
+/// Worker count is irrelevant to the outcome (odd counts exercise
+/// stealing imbalance).
 #[test]
 fn any_worker_count_agrees_with_serial() {
     let cfg = PortendConfig::default();
     for name in ["ctrace", "bbuf"] {
         let w = by_name(name).expect("workload exists");
-        let serial = w.analyze(cfg.clone());
-        for workers in [1, 2, 3, 8] {
-            let parallel = w.analyze_parallel(cfg.clone(), workers);
-            assert_equivalent(&format!("{name} w={workers}"), &serial, &parallel);
-        }
+        check_workers(&w, &cfg, &[2, 3, 8]);
     }
 }
 
@@ -74,7 +118,9 @@ fn any_worker_count_agrees_with_serial() {
 #[test]
 fn farm_knobs_do_not_change_verdicts() {
     let w = by_name("bbuf").expect("workload exists");
-    let serial = w.analyze(PortendConfig::default());
+    let default = PortendConfig::default();
+    let one = w.analyze(default.clone());
+    let expected = reference(&one, &default);
     let knob_sets = [
         FarmKnobs {
             solver_cache: false,
@@ -104,7 +150,7 @@ fn farm_knobs_do_not_change_verdicts() {
             ..Default::default()
         };
         let parallel = w.analyze_parallel(cfg, 4);
-        assert_equivalent(&format!("bbuf knobs#{i}"), &serial, &parallel);
+        assert_matches(&format!("bbuf knobs#{i}"), &one, &expected, &parallel);
     }
 }
 

@@ -5,13 +5,14 @@
 //!
 //! 1. **Tracing changes nothing.** A traced run's verdicts, work
 //!    counters, and cache snapshot are structurally identical to an
-//!    untraced run's — serial and parallel. The recorder only observes.
+//!    untraced run's — at one farm worker and at several. The recorder
+//!    only observes.
 //! 2. **Reports are exact.** A `RunReport` assembled from a live run
 //!    round-trips through its JSON rendering to structural equality,
 //!    and the reader rejects documents from the future (version bumps)
 //!    rather than best-effort parsing them.
 //!
-//! Plus the determinism contract: the *serial* pipeline's merged event
+//! Plus the determinism contract: a one-worker pipeline run's merged event
 //! sequence is a pure function of (program, inputs, config) modulo
 //! timestamps — two identical runs produce identical event skeletons.
 
@@ -89,7 +90,7 @@ fn serial_trace_is_deterministic_modulo_timestamps() {
     assert_eq!(
         a.skeleton(),
         b.skeleton(),
-        "two identical serial runs must record identical event sequences \
+        "two identical one-worker runs must record identical event sequences \
          (lane names, kinds, names, and arguments; only timestamps may differ)"
     );
     assert!(!a.skeleton().is_empty());

@@ -9,18 +9,20 @@
 //! 2. **Damaged stores are rejected wholesale**: corruption, truncation,
 //!    or a format-version bump makes the load fail cleanly and the run
 //!    proceed cold; no partial store ever reaches the cache.
-//! 3. **Warm starts actually save work**: a second
-//!    `analyze_parallel` run over the same workload with
-//!    `FarmKnobs::cache_path` set performs strictly fewer solver
-//!    invocations than the first, with verdicts byte-identical to a
-//!    cold run (the ISSUE 4 acceptance criterion).
+//! 3. **Warm starts actually save work**: a second pipeline run over
+//!    the same workload through a managed store directory
+//!    (`WarmSource::Manager`, what `--store-dir` uses) performs strictly
+//!    fewer solver invocations than the first, with verdicts
+//!    byte-identical to a cold run.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use portend_repro::portend::{PortendConfig, WarmPolicy};
+use portend_repro::portend::{PortendConfig, WarmPolicy, WarmSource};
 use portend_repro::portend_symex::Solver;
-use portend_repro::portend_symex::{CmpOp, Expr, SatResult, SolverCache, VarTable, WarmStoreError};
+use portend_repro::portend_symex::{
+    CmpOp, Expr, SatResult, SolverCache, StoreManager, VarTable, WarmStoreError,
+};
 use portend_repro::portend_vm::SmallRng;
 use portend_repro::portend_workloads as workloads;
 
@@ -30,6 +32,9 @@ use portend_repro::portend_workloads as workloads;
 fn scratch(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("portend-warm-{}-{name}", std::process::id()))
 }
+
+/// The fingerprint the synthetic query corpora's stores are keyed to.
+const CORPUS_FINGERPRINT: u64 = 0x5EED_57A7;
 
 /// Random small constraint sets over two bounded variables, the same
 /// distribution family as `tests/property.rs` but assembled from
@@ -89,10 +94,13 @@ fn warm_round_trip_preserves_every_answer() {
     };
     assert!(cold_solves > 0, "corpus must require solving");
     cold_cache
-        .save_to(&path, &WarmPolicy::keep_everything())
+        .save_keyed(&path, CORPUS_FINGERPRINT, &WarmPolicy::keep_everything())
         .expect("save");
 
-    let warm_cache = Arc::new(SolverCache::load_from(&path).expect("load"));
+    let warm_cache = Arc::new(SolverCache::default());
+    warm_cache
+        .warm_from_keyed(&path, CORPUS_FINGERPRINT)
+        .expect("load");
     let snap = warm_cache.snapshot();
     assert!(snap.warmed > 0, "store must not be empty: {snap:?}");
     let warm = Solver::new().cached(Arc::clone(&warm_cache));
@@ -129,7 +137,7 @@ fn damaged_stores_are_rejected_and_run_proceeds_cold() {
         solver.check_sliced(cs, &vars);
     }
     cache
-        .save_to(&path, &WarmPolicy::keep_everything())
+        .save_keyed(&path, CORPUS_FINGERPRINT, &WarmPolicy::keep_everything())
         .expect("save");
     let bytes = std::fs::read(&path).expect("read back");
 
@@ -158,7 +166,7 @@ fn damaged_stores_are_rejected_and_run_proceeds_cold() {
     for (what, damaged) in cases {
         std::fs::write(&path, &damaged).expect("write damaged");
         let fresh = SolverCache::new(2);
-        let err = fresh.warm_from(&path);
+        let err = fresh.warm_from_keyed(&path, CORPUS_FINGERPRINT);
         assert!(err.is_err(), "{what}: damaged store must be rejected");
         let snap = fresh.snapshot();
         assert_eq!(snap.entries, 0, "{what}: no partial load");
@@ -172,29 +180,34 @@ fn damaged_stores_are_rejected_and_run_proceeds_cold() {
     // A missing file (the first-run case) is an I/O error, also cold.
     std::fs::remove_file(&path).ok();
     assert!(matches!(
-        SolverCache::new(2).warm_from(&path),
+        SolverCache::new(2).warm_from_keyed(&path, CORPUS_FINGERPRINT),
         Err(WarmStoreError::Io(_))
     ));
 }
 
-/// The acceptance criterion: a second `analyze_parallel` run over the
-/// same corpus with `cache_path` set performs strictly fewer solver
-/// invocations than the first, and its verdicts are byte-identical to
-/// a cold run's.
+/// The acceptance criterion: a second run over the same workload
+/// through one managed store directory performs strictly fewer solver
+/// invocations than the first, and both runs' verdicts are
+/// byte-identical to a cold run's.
 #[test]
 fn second_run_solves_strictly_less_with_identical_verdicts() {
     for name in ["ctrace", "bbuf"] {
         let w = workloads::by_name(name).expect("workload exists");
-        let path = scratch(&format!("{name}.warm"));
-        std::fs::remove_file(&path).ok(); // pristine first run
-
-        let mut config = PortendConfig::default();
-        config.farm.cache_path = Some(path.clone());
-        config.farm.cache_save_policy = WarmPolicy::default();
+        let dir = scratch(&format!("{name}.store"));
+        std::fs::remove_dir_all(&dir).ok(); // pristine first run
+        let warm = WarmSource::Manager {
+            manager: Arc::new(StoreManager::new(&dir).expect("store dir")),
+            fingerprint: w.fingerprint(),
+            cache: None,
+        };
+        let run = || {
+            w.analyze_streamed(PortendConfig::default(), 2, &warm, &mut |_, _, _| {})
+                .0
+        };
 
         let cold_reference = w.analyze_parallel(PortendConfig::default(), 2);
-        let first = w.analyze_parallel(config.clone(), 2);
-        let second = w.analyze_parallel(config, 2);
+        let first = run();
+        let second = run();
 
         let solves = |r: &portend_repro::portend::PipelineResult| {
             let c = r.cache.expect("cache enabled");
@@ -223,6 +236,6 @@ fn second_run_solves_strictly_less_with_identical_verdicts() {
                 );
             }
         }
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
